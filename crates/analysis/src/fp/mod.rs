@@ -10,7 +10,8 @@
 //!
 //! * one rounding event on a value with exact range `V` and incoming
 //!   error `e` yields `e + u·(|V| + e)` where `u` is the unit roundoff
-//!   of the compute precision;
+//!   of the compute precision — plus the smallest normal number when
+//!   the run flushes subnormals (FTZ|DAZ, [`Denormals::Flush`]);
 //! * `x·y` propagates `|x|·e_y + |y|·e_x + e_x·e_y` before rounding;
 //! * division, `sqrt`, `exp` use derivative bounds over the interval
 //!   (going unbounded — honestly — when the argument can reach the
@@ -45,6 +46,7 @@ use std::collections::BTreeMap;
 use mpix_codegen::bytecode::{
     compile_cluster, fuse_cluster, CoeffSrc, CompiledCluster, Op, RoundingModel,
 };
+use mpix_codegen::Denormals;
 use mpix_ir::cluster::{Cluster, Stmt};
 use mpix_ir::iexpr::IExpr;
 use mpix_ir::precision::{StoragePrecision, WireFormat};
@@ -116,32 +118,62 @@ fn safe_add(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Error after one rounding event on exact range `val` with incoming
-/// error `err`, at unit roundoff `u`.
-fn round_err(val: Interval, err: f64, u: f64) -> f64 {
-    safe_add(err, safe_mul(u, safe_add(val.mag(), err)))
+/// One compute precision's rounding behaviour: the unit roundoff `u`
+/// plus `flush`, the absolute error a result flushed to zero (FTZ) or
+/// an operand read as zero (DAZ) can add — below the smallest normal
+/// number when the run flushes subnormals, `0` otherwise.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Rounding {
+    u: f64,
+    flush: f64,
 }
 
-/// Representation error of storing the exact value `c` at roundoff `u`
-/// (the `1/(1-u)` slack makes the bound valid relative to the *stored*
-/// magnitude too).
-fn repr_err(c: f64, u: f64) -> f64 {
-    u * c.abs() * (1.0 + 2.0 * u)
+impl Rounding {
+    fn new(storage: StoragePrecision, denormals: Denormals) -> Rounding {
+        Rounding {
+            u: storage.unit_roundoff(),
+            flush: match denormals {
+                Denormals::Flush => storage.min_normal(),
+                Denormals::Preserve => 0.0,
+            },
+        }
+    }
+
+    /// A software conversion (wire demotion): rounds, never flushes.
+    fn ieee(u: f64) -> Rounding {
+        Rounding { u, flush: 0.0 }
+    }
+}
+
+/// Error after one rounding event on exact range `val` with incoming
+/// error `err`.
+fn round_err(val: Interval, err: f64, r: Rounding) -> f64 {
+    safe_add(
+        safe_add(err, safe_mul(r.u, safe_add(val.mag(), err))),
+        r.flush,
+    )
+}
+
+/// Representation error of storing the exact value `c` (the `1/(1-u)`
+/// slack makes the bound valid relative to the *stored* magnitude too;
+/// a flushed run may also read a subnormal constant as zero).
+fn repr_err(c: f64, r: Rounding) -> f64 {
+    r.u * c.abs() * (1.0 + 2.0 * r.u) + r.flush
 }
 
 /// `x + y`; `round` says whether the result is rounded (false only for
 /// the virtual intermediate of a contracted FMA).
-fn ev_add(x: ErrVal, y: ErrVal, u: f64, round: bool) -> ErrVal {
+fn ev_add(x: ErrVal, y: ErrVal, r: Rounding, round: bool) -> ErrVal {
     let val = x.val.add(y.val);
     let err = safe_add(x.err, y.err);
     ErrVal {
         val,
-        err: if round { round_err(val, err, u) } else { err },
+        err: if round { round_err(val, err, r) } else { err },
     }
 }
 
 /// `x · y` with the full (second-order kept) propagation term.
-fn ev_mul(x: ErrVal, y: ErrVal, u: f64, round: bool) -> ErrVal {
+fn ev_mul(x: ErrVal, y: ErrVal, r: Rounding, round: bool) -> ErrVal {
     let val = x.val.mul(y.val);
     let prop = safe_add(
         safe_add(safe_mul(x.val.mag(), y.err), safe_mul(y.val.mag(), x.err)),
@@ -149,7 +181,7 @@ fn ev_mul(x: ErrVal, y: ErrVal, u: f64, round: bool) -> ErrVal {
     );
     ErrVal {
         val,
-        err: if round { round_err(val, prop, u) } else { prop },
+        err: if round { round_err(val, prop, r) } else { prop },
     }
 }
 
@@ -167,7 +199,7 @@ fn recip_interval(v: Interval) -> Interval {
 }
 
 /// `1 / x`: unbounded when the argument can reach zero within its error.
-fn ev_recip(x: ErrVal, u: f64) -> ErrVal {
+fn ev_recip(x: ErrVal, r: Rounding) -> ErrVal {
     let val = recip_interval(x.val);
     let m = x.val.min_mag();
     if m <= x.err || m == 0.0 {
@@ -180,26 +212,26 @@ fn ev_recip(x: ErrVal, u: f64) -> ErrVal {
     let prop = x.err / (m * (m - x.err));
     ErrVal {
         val,
-        err: round_err(val, prop, u),
+        err: round_err(val, prop, r),
     }
 }
 
 /// `x^n`, mirroring the `powi` lowering (`v*v`, `1/v`, `1/(v*v)` fast
 /// paths; a multiply chain bounds the generic case from above).
-fn ev_pow(x: ErrVal, n: i32, u: f64) -> ErrVal {
+fn ev_pow(x: ErrVal, n: i32, r: Rounding) -> ErrVal {
     match n {
         0 => ErrVal::exact(Interval::point(1.0)),
         1 => x,
-        2 => ev_mul(x, x, u, true),
-        -1 => ev_recip(x, u),
-        -2 => ev_recip(ev_mul(x, x, u, true), u),
+        2 => ev_mul(x, x, r, true),
+        -1 => ev_recip(x, r),
+        -2 => ev_recip(ev_mul(x, x, r, true), r),
         n => {
             let mut acc = x;
             for _ in 1..n.unsigned_abs() {
-                acc = ev_mul(acc, x, u, true);
+                acc = ev_mul(acc, x, r, true);
             }
             if n < 0 {
-                acc = ev_recip(acc, u);
+                acc = ev_recip(acc, r);
             }
             acc
         }
@@ -208,7 +240,7 @@ fn ev_pow(x: ErrVal, n: i32, u: f64) -> ErrVal {
 
 /// Elementary functions: derivative-bound propagation plus `2u` per
 /// call (libm results are faithful, not correctly rounded).
-fn ev_func(f: UnaryFn, x: ErrVal, u: f64) -> ErrVal {
+fn ev_func(f: UnaryFn, x: ErrVal, r: Rounding) -> ErrVal {
     match f {
         UnaryFn::Abs => ErrVal {
             val: Interval {
@@ -235,7 +267,7 @@ fn ev_func(f: UnaryFn, x: ErrVal, u: f64) -> ErrVal {
             };
             ErrVal {
                 val,
-                err: safe_add(round_err(val, prop, u), safe_mul(u, val.mag())),
+                err: safe_add(round_err(val, prop, r), safe_mul(r.u, val.mag())),
             }
         }
         UnaryFn::Exp => {
@@ -247,14 +279,14 @@ fn ev_func(f: UnaryFn, x: ErrVal, u: f64) -> ErrVal {
             let prop = safe_mul(x.err, dmax);
             ErrVal {
                 val,
-                err: safe_add(round_err(val, prop, u), safe_mul(u, val.mag())),
+                err: safe_add(round_err(val, prop, r), safe_mul(r.u, val.mag())),
             }
         }
         UnaryFn::Sin | UnaryFn::Cos => {
             let val = Interval { lo: -1.0, hi: 1.0 };
             ErrVal {
                 val,
-                err: safe_add(x.err, 2.0 * u), // |d sin| ≤ 1; 2u call slack
+                err: safe_add(safe_add(x.err, 2.0 * r.u), r.flush), // |d sin| ≤ 1; 2u call slack
             }
         }
     }
@@ -287,7 +319,9 @@ impl FpConfig {
 
 /// Externally supplied facts the certificate is conditional on: scalar
 /// bindings (`dt`, `h_*`, solver scalars), initial per-field value
-/// ranges, and the step count to propagate through. The empty
+/// ranges, the step count to propagate through, and the subnormal mode
+/// the run executes under (`Flush`, the executor's default, adds up to
+/// one smallest-normal of absolute error per rounding event). The empty
 /// ([`FpAssumptions::structural`]) variant drives the purely structural
 /// detectors used inside `lint_operator`.
 #[derive(Clone, Debug, Default)]
@@ -295,6 +329,7 @@ pub struct FpAssumptions {
     pub scalars: BTreeMap<String, f64>,
     pub fields: BTreeMap<FieldId, Interval>,
     pub steps: u32,
+    pub denormals: Denormals,
 }
 
 impl FpAssumptions {
@@ -318,6 +353,11 @@ impl FpAssumptions {
 
     pub fn with_steps(mut self, steps: u32) -> Self {
         self.steps = steps;
+        self
+    }
+
+    pub fn with_denormals(mut self, denormals: Denormals) -> Self {
+        self.denormals = denormals;
         self
     }
 }
@@ -360,11 +400,11 @@ fn buffer_index(t: i64, toff: i32, nb: usize) -> usize {
 
 /// Scalar binding → abstract value. Unbound `dt`/`h_*` keep absint's
 /// positive-unbounded abstraction; everything else unbound is ⊤.
-fn scalar_ev(name: &str, scalars: &BTreeMap<String, f64>, u: f64) -> ErrVal {
+fn scalar_ev(name: &str, scalars: &BTreeMap<String, f64>, r: Rounding) -> ErrVal {
     match scalars.get(name) {
         Some(&v) => ErrVal {
             val: Interval::point(v),
-            err: repr_err(v, u),
+            err: repr_err(v, r),
         },
         None if name == "dt" || name.starts_with("h_") => ErrVal {
             val: crate::lint::absint::POSITIVE,
@@ -381,7 +421,7 @@ struct IEnv<'a> {
     fields: &'a BTreeMap<FieldId, Interval>,
     params: BTreeMap<usize, ErrVal>,
     temps: Vec<ErrVal>,
-    u: f64,
+    r: Rounding,
 }
 
 fn eval_iexpr(e: &IExpr, env: &IEnv, loc: &str, out: &mut Vec<LintFinding>) -> ErrVal {
@@ -392,12 +432,15 @@ fn eval_iexpr(e: &IExpr, env: &IEnv, loc: &str, out: &mut Vec<LintFinding>) -> E
             }
             ErrVal {
                 val: Interval::point(*c),
-                err: repr_err(*c, env.u),
+                err: repr_err(*c, env.r),
             }
         }
-        IExpr::Sym(s) => scalar_ev(s, env.scalars, env.u),
+        IExpr::Sym(s) => scalar_ev(s, env.scalars, env.r),
         IExpr::Load(a) => match env.fields.get(&a.field) {
-            Some(&iv) => ErrVal::exact(iv),
+            Some(&iv) => ErrVal {
+                val: iv,
+                err: env.r.flush,
+            },
             None => ErrVal::unknown(),
         },
         IExpr::Temp(i) => env.temps.get(*i).copied().unwrap_or(ErrVal::unknown()),
@@ -409,8 +452,8 @@ fn eval_iexpr(e: &IExpr, env: &IEnv, loc: &str, out: &mut Vec<LintFinding>) -> E
                 acc = Some(match acc {
                     None => y,
                     Some(a) => {
-                        check_cancellation(a, y, env.u, loc, out);
-                        ev_add(a, y, env.u, true)
+                        check_cancellation(a, y, loc, out);
+                        ev_add(a, y, env.r, true)
                     }
                 });
             }
@@ -422,13 +465,13 @@ fn eval_iexpr(e: &IExpr, env: &IEnv, loc: &str, out: &mut Vec<LintFinding>) -> E
                 let y = eval_iexpr(x, env, loc, out);
                 acc = Some(match acc {
                     None => y,
-                    Some(a) => ev_mul(a, y, env.u, true),
+                    Some(a) => ev_mul(a, y, env.r, true),
                 });
             }
             acc.unwrap_or(ErrVal::exact(Interval::point(1.0)))
         }
-        IExpr::Pow(b, n) => ev_pow(eval_iexpr(b, env, loc, out), *n, env.u),
-        IExpr::Func(fx, b) => ev_func(*fx, eval_iexpr(b, env, loc, out), env.u),
+        IExpr::Pow(b, n) => ev_pow(eval_iexpr(b, env, loc, out), *n, env.r),
+        IExpr::Func(fx, b) => ev_func(*fx, eval_iexpr(b, env, loc, out), env.r),
     }
 }
 
@@ -438,7 +481,7 @@ fn eval_iexpr(e: &IExpr, env: &IEnv, loc: &str, out: &mut Vec<LintFinding>) -> E
 /// incoming relative error is amplified by κ at every grid point, not
 /// merely at unlucky ones. ⊤ operands (any field load without a
 /// declared range) can never fire.
-fn check_cancellation(x: ErrVal, y: ErrVal, _u: f64, loc: &str, out: &mut Vec<LintFinding>) {
+fn check_cancellation(x: ErrVal, y: ErrVal, loc: &str, out: &mut Vec<LintFinding>) {
     let (mx, my) = (x.val.mag(), y.val.mag());
     if !mx.is_finite() || !my.is_finite() || x.val.min_mag() == 0.0 || y.val.min_mag() == 0.0 {
         return;
@@ -521,8 +564,8 @@ pub fn analyze(
     cfg: FpConfig,
     assume: &FpAssumptions,
 ) -> FpReport {
-    let u = cfg.storage.unit_roundoff();
-    let wire_u = cfg.wire.unit_roundoff();
+    let r = Rounding::new(cfg.storage, assume.denormals);
+    let wire = cfg.wire.unit_roundoff().map(Rounding::ieee);
     let mut findings = Vec::new();
 
     // Hoisted parameters evaluate once, before the time loop.
@@ -531,7 +574,7 @@ pub fn analyze(
         fields: &assume.fields,
         params: BTreeMap::new(),
         temps: Vec::new(),
-        u,
+        r,
     };
     for (ci, cl) in clusters.iter().enumerate() {
         for (pi, value) in &cl.params {
@@ -568,13 +611,17 @@ pub fn analyze(
 
     // Multi-step state propagation. Initial data is bit-identical in
     // every arm (the f64 shadow widens the f32 seed), so initial error
-    // is zero where a range is assumed and unbounded where it is not.
+    // is zero where a range is assumed — bar a subnormal seed a flushed
+    // run reads as zero — and unbounded where it is not.
     let mut state: State = BTreeMap::new();
     let mut written: BTreeMap<FieldId, bool> = BTreeMap::new();
     for fld in ctx.fields() {
         written.insert(fld.id, false);
         let ev = match assume.fields.get(&fld.id) {
-            Some(&iv) => ErrVal::exact(iv),
+            Some(&iv) => ErrVal {
+                val: iv,
+                err: r.flush,
+            },
             None => ErrVal::unknown(),
         };
         for b in 0..fld.time_buffers() {
@@ -589,8 +636,8 @@ pub fn analyze(
                 cc,
                 ctx,
                 t,
-                u,
-                wire_u,
+                r,
+                wire,
                 model: cfg.model,
                 scalars: &assume.scalars,
                 params: &params,
@@ -664,8 +711,8 @@ struct BytecodeEval<'a> {
     cc: &'a CompiledCluster,
     ctx: &'a Context,
     t: i64,
-    u: f64,
-    wire_u: Option<f64>,
+    r: Rounding,
+    wire: Option<Rounding>,
     model: RoundingModel,
     scalars: &'a BTreeMap<String, f64>,
     params: &'a BTreeMap<usize, ErrVal>,
@@ -679,10 +726,10 @@ impl BytecodeEval<'_> {
                 let c = self.cc.consts[i as usize] as f64;
                 ErrVal {
                     val: Interval::point(c),
-                    err: repr_err(c, self.u),
+                    err: repr_err(c, self.r),
                 }
             }
-            CoeffSrc::Scalar(i) => scalar_ev(&self.cc.scalars[i as usize], self.scalars, self.u),
+            CoeffSrc::Scalar(i) => scalar_ev(&self.cc.scalars[i as usize], self.scalars, self.r),
             CoeffSrc::Param(i) => self
                 .params
                 .get(&(i as usize))
@@ -701,7 +748,7 @@ impl BytecodeEval<'_> {
             // A halo-offset read can land on padded boundary zeros
             // (exact) or wire-demoted neighbour cells.
             ev.val = ev.val.union(Interval::point(0.0));
-            if let Some(w) = self.wire_u {
+            if let Some(w) = self.wire {
                 ev.err = round_err(ev.val, ev.err, w);
             }
         }
@@ -716,7 +763,7 @@ impl BytecodeEval<'_> {
         written: &mut BTreeMap<FieldId, bool>,
         stack: &mut Vec<ErrVal>,
     ) {
-        let u = self.u;
+        let r = self.r;
         match op {
             Op::Const(_) | Op::Scalar(_) | Op::Param(_) => {
                 stack.push(self.coeff(op.as_coeff().expect("invariant push")));
@@ -737,39 +784,39 @@ impl BytecodeEval<'_> {
             Op::Add => {
                 let y = stack.pop().expect("stack underflow");
                 let x = stack.pop().expect("stack underflow");
-                stack.push(ev_add(x, y, u, true));
+                stack.push(ev_add(x, y, r, true));
             }
             Op::Mul => {
                 let y = stack.pop().expect("stack underflow");
                 let x = stack.pop().expect("stack underflow");
-                stack.push(ev_mul(x, y, u, true));
+                stack.push(ev_mul(x, y, r, true));
             }
             Op::Pow(n) => {
                 let x = stack.pop().expect("stack underflow");
-                stack.push(ev_pow(x, n, u));
+                stack.push(ev_pow(x, n, r));
             }
             Op::Call(f) => {
                 let x = stack.pop().expect("stack underflow");
-                stack.push(ev_func(f, x, u));
+                stack.push(ev_func(f, x, r));
             }
             Op::MulAdd => {
                 let y = stack.pop().expect("stack underflow");
                 let x = stack.pop().expect("stack underflow");
                 let acc = stack.pop().expect("stack underflow");
-                let prod = ev_mul(x, y, u, !self.model.fma_contraction);
-                stack.push(ev_add(acc, prod, u, true));
+                let prod = ev_mul(x, y, r, !self.model.fma_contraction);
+                stack.push(ev_add(acc, prod, r, true));
             }
             Op::LoadMul { coeff, stream, off } => {
                 let c = self.coeff(coeff);
                 let l = self.load(stream, off, state);
-                stack.push(ev_mul(c, l, u, true));
+                stack.push(ev_mul(c, l, r, true));
             }
             Op::LoadMulAdd { coeff, stream, off } => {
                 let acc = stack.pop().expect("stack underflow");
                 let c = self.coeff(coeff);
                 let l = self.load(stream, off, state);
-                let prod = ev_mul(c, l, u, !self.model.fma_contraction);
-                stack.push(ev_add(acc, prod, u, true));
+                let prod = ev_mul(c, l, r, !self.model.fma_contraction);
+                stack.push(ev_add(acc, prod, r, true));
             }
         }
     }
@@ -991,5 +1038,35 @@ mod tests {
         let (b1, b2, b3) = (bound(1), bound(2), bound(3));
         assert!(b1 > 0.0 && b1.is_finite());
         assert!(b1 < b2 && b2 < b3, "{b1} {b2} {b3}");
+    }
+
+    #[test]
+    fn flush_term_applies_only_under_flush() {
+        // An all-zero field: every IEEE rounding is exact, so only the
+        // flush term can produce a nonzero bound.
+        let (ctx, u) = ctx_1d(1);
+        let clusters = vec![chain_cluster(u, 2)];
+        let bound = |denormals| {
+            let assume = FpAssumptions::default()
+                .with_field(u, 0.0, 0.0)
+                .with_steps(2)
+                .with_denormals(denormals);
+            analyze(&ctx, &clusters, FpConfig::shipped(), &assume).fields[&u].abs
+        };
+        assert_eq!(FpAssumptions::default().denormals, Denormals::Flush);
+        assert_eq!(bound(Denormals::Preserve), 0.0);
+        let flushed = bound(Denormals::Flush);
+        assert!(
+            flushed >= f32::MIN_POSITIVE as f64 && flushed < 1e-35,
+            "{flushed:e}"
+        );
+        let cert = certify(&ctx, &clusters, &FpAssumptions::default(), "k");
+        let mode = cert
+            .to_json()
+            .get("assumptions")
+            .and_then(|a| a.get("denormals"))
+            .and_then(mpix_json::Value::as_str)
+            .map(str::to_string);
+        assert_eq!(mode.as_deref(), Some("flush"));
     }
 }

@@ -6,6 +6,8 @@
 //! `#pragma omp simd aligned(…)` on the vector dimension, aligned array
 //! accesses shifted by each field's halo (`u[t1][x + 2][y + 2]`), and
 //! halo-exchange call sites where `HaloUpdate`/`HaloWait` nodes sit.
+//! Like Devito's operators, the kernel opens by setting the FTZ/DAZ
+//! modes (the executor's [`crate::fpenv`] guard does the same).
 //!
 //! The emitted C is for inspection and golden-testing; execution happens
 //! in [`crate::executor`] (see DESIGN.md for the substitution rationale).
@@ -52,9 +54,15 @@ impl Emitter<'_> {
     fn node(&mut self, n: &Node) {
         match n {
             Node::Callable { name, params, body } => {
+                self.line("#include \"xmmintrin.h\"");
+                self.line("#include \"pmmintrin.h\"");
+                self.line("");
                 self.line(&format!("void {name}(const int time_m, const int time_M)"));
                 self.line("{");
                 self.indent += 1;
+                self.line("/* Flush denormal numbers to zero in hardware */");
+                self.line("_MM_SET_DENORMALS_ZERO_MODE(_MM_DENORMALS_ZERO_ON);");
+                self.line("_MM_SET_FLUSH_ZERO_MODE(_MM_FLUSH_ZERO_ON);");
                 self.num_params = params.iter().map(|(i, _)| i + 1).max().unwrap_or(0);
                 for (i, def) in params {
                     let d = c_expr(def, self.ctx, self.num_params);
@@ -410,6 +418,16 @@ mod tests {
         assert!(c.contains("u[t0][x + 3][y + 2]"), "{c}");
         // Halo exchange call before the loop nest.
         assert!(c.contains("haloupdate_u(cart_comm, t0"), "{c}");
+        // Devito's FTZ/DAZ prologue opens the kernel, before the params.
+        let daz = c
+            .find("_MM_SET_DENORMALS_ZERO_MODE(_MM_DENORMALS_ZERO_ON);")
+            .expect("DAZ prologue");
+        assert!(
+            c.contains("_MM_SET_FLUSH_ZERO_MODE(_MM_FLUSH_ZERO_ON);"),
+            "{c}"
+        );
+        assert!(c.starts_with("#include \"xmmintrin.h\""), "{c}");
+        assert!(daz < c.find("float r0 = ").unwrap(), "{c}");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::backend::{create_lowering, Backend, BackendError, ClusterKernel, Launch};
 use crate::bytecode::{compile_cluster, fuse_cluster, powi, CompiledCluster, Op};
+use crate::fpenv::{Denormals, FpEnvGuard};
 
 /// Strip widths the lane-vectorized engine is monomorphized for.
 pub const SUPPORTED_VECTOR_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -131,6 +132,9 @@ pub struct ExecOptions {
     /// Instrumentation level; at [`TraceLevel::Off`] (the default) the
     /// hooks cost one branch per span.
     pub trace: TraceLevel,
+    /// Subnormal handling on every thread that runs kernel code (see
+    /// [`crate::fpenv`]).
+    pub denormals: Denormals,
     /// Injected runtime bug for the sanitizer's mutant corpus
     /// (`tests/sanitizer.rs`). Shipped paths never set this.
     #[doc(hidden)]
@@ -145,6 +149,7 @@ impl Default for ExecOptions {
             threads: 1,
             vector_width: 0,
             trace: TraceLevel::Off,
+            denormals: Denormals::Flush,
             fault: None,
         }
     }
@@ -308,6 +313,10 @@ impl OperatorExec {
         nt: i64,
         opts: &ExecOptions,
     ) -> ExecStats {
+        // Everything below — parameters, kernels, halo unpacking, sparse
+        // operators — runs in the requested floating-point mode; the
+        // caller's mode comes back when the guard drops.
+        let _fpenv = FpEnvGuard::enter(opts.denormals);
         // Evaluate precomputed parameters (r0 = 1/dt, ...).
         let max_param = self
             .param_defs
@@ -691,7 +700,7 @@ impl OperatorExec {
                     nthreads,
                     st.cart.comm().san().map(|a| a.as_ref()),
                     st.cart.rank(),
-                    st.opts.fault,
+                    &st.opts,
                 );
             }
         }
@@ -874,7 +883,7 @@ fn exec_box_threaded(
     nthreads: usize,
     san: Option<&San>,
     rank: usize,
-    fault: Option<Fault>,
+    opts: &ExecOptions,
 ) {
     let cc = l.cc;
     let (strides, halos) = (l.strides, l.halos);
@@ -965,7 +974,7 @@ fn exec_box_threaded(
             .iter()
             .map(|wk| (wk.range0.start, wk.range0.end))
             .collect();
-        match fault {
+        match opts.fault {
             Some(Fault::OverlapSlabs) => {
                 for i in 0..declared.len().saturating_sub(1) {
                     declared[i].1 += 1;
@@ -981,9 +990,13 @@ fn exec_box_threaded(
         san.slab_partition(rank, (r0.start, r0.end), &declared);
     }
 
+    let denormals = opts.denormals;
     std::thread::scope(|scope| {
         for wk in workers.into_iter() {
             scope.spawn(move || {
+                // A worker's mode must not depend on what its thread
+                // happened to inherit: enter the rank's explicitly.
+                let _fpenv = FpEnvGuard::enter(denormals);
                 let mut sub = bx.to_vec();
                 sub[0] = wk.range0.clone();
                 let mut reads = wk.reads;

@@ -19,6 +19,7 @@
 //!   buffers, loop-blocked (and optionally multi-threaded — the "X" in
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
 //!   three halo-exchange patterns from `mpix-dmp`.
+//! * [`fpenv`] — the FTZ/DAZ guard every kernel thread runs under.
 //! * [`backend`] — the seam tying them together: the [`Lowering`]
 //!   trait, the [`ClusterKernel`] launch surface, and the
 //!   [`create_lowering`] factory that registers the three backends as
@@ -33,6 +34,7 @@ pub mod backend;
 pub mod bytecode;
 pub mod cgen;
 pub mod executor;
+pub mod fpenv;
 pub mod jit;
 
 pub use backend::{
@@ -42,4 +44,5 @@ pub use backend::{
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;
 pub use executor::{exec_compiles, halo_tag_base, ExecOptions, FieldState, OperatorExec, SparseOp};
+pub use fpenv::{Denormals, FpEnvGuard};
 pub use jit::jit_modules_built;

@@ -48,6 +48,16 @@ impl StoragePrecision {
         }
     }
 
+    /// Smallest positive normal number: the most a result flushed to
+    /// zero (FTZ) or an operand read as zero (DAZ) can lose. bf16 keeps
+    /// f32's exponent range.
+    pub fn min_normal(self) -> f64 {
+        match self {
+            StoragePrecision::F64 => f64::MIN_POSITIVE,
+            StoragePrecision::F32 | StoragePrecision::Bf16 => f32::MIN_POSITIVE as f64,
+        }
+    }
+
     /// Bytes per element.
     pub fn bytes(self) -> usize {
         match self {

@@ -17,8 +17,14 @@ fn generated_c_matches_golden() {
     let op = listing1_operator();
     let c = op.c_code_for(&ApplyOptions::default().with_mode(HaloMode::Basic));
     let golden = "\
+#include \"xmmintrin.h\"
+#include \"pmmintrin.h\"
+
 void Kernel(const int time_m, const int time_M)
 {
+  /* Flush denormal numbers to zero in hardware */
+  _MM_SET_DENORMALS_ZERO_MODE(_MM_DENORMALS_ZERO_ON);
+  _MM_SET_FLUSH_ZERO_MODE(_MM_FLUSH_ZERO_ON);
   float r0 = -1.0F*dt;
   float r1 = -1.0F/(dt);
   float r2 = -1.0F/(h_x*h_x);

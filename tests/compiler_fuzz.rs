@@ -5,6 +5,11 @@
 //!
 //! Any disagreement is a compiler bug: wrong index arithmetic, wrong CSE,
 //! wrong halo width, wrong unpacking — this test catches them all.
+//!
+//! The same random operators also run through every execution engine —
+//! scalar bytecode, W=16 strips, the native JIT — serially, on 4 ranks
+//! and on 2 slab threads, from hostile inputs (subnormals, ±0, ±Inf,
+//! NaN), and must agree bit for bit under the default subnormal flushing.
 
 // Linear indices are decoded into multi-dim points in place, so the
 // index-based loops are the natural shape here.
@@ -176,6 +181,106 @@ fn check_spec(spec: &StencilSpec, nt: usize, nranks: usize) -> Result<(), TestCa
     Ok(())
 }
 
+/// Deterministic hostile initial data: mostly ordinary values, with
+/// subnormals of both signs, ±0, values whose products underflow, and
+/// one NaN, +Inf and −Inf per field.
+fn hostile_init(nfields: usize, total: usize) -> Vec<Vec<f32>> {
+    let tiny = f32::from_bits(1);
+    (0..nfields)
+        .map(|f| {
+            (0..total)
+                .map(|k| {
+                    if k == (f * 7) % total {
+                        return f32::NAN;
+                    }
+                    if k == (f * 7 + 3) % total {
+                        return f32::INFINITY;
+                    }
+                    if k == (f * 7 + 5) % total {
+                        return f32::NEG_INFINITY;
+                    }
+                    match (k * 2654435761 + f * 97) % 13 {
+                        0 => tiny,
+                        1 => -tiny * 300.0,
+                        2 => 0.0,
+                        3 => -0.0,
+                        4 => f32::MIN_POSITIVE,
+                        5 => -1.5 * f32::MIN_POSITIVE,
+                        h => (h as f32 - 8.0) / 8.0,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Bitwise equality, except that any NaN matches any NaN (payloads are
+/// not part of the contract).
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Every engine × {serial, 4 ranks, 2 slab threads} reproduces the
+/// serial scalar-bytecode run on hostile inputs.
+fn check_backends_bitwise(spec: &StencilSpec, nt: usize) -> Result<(), TestCaseError> {
+    let op = build_operator(spec);
+    let total: usize = spec.shape.iter().product();
+    let init = hostile_init(spec.nfields, total);
+    let shape = spec.shape.clone();
+    let nfields = spec.nfields;
+    let seed = move |ws: &mut Workspace| {
+        let nd = shape.len();
+        let mut point = vec![0usize; nd];
+        for (f, vals) in init.iter().enumerate() {
+            for (lin, &v) in vals.iter().enumerate() {
+                let mut rem = lin;
+                for d in (0..nd).rev() {
+                    point[d] = rem % shape[d];
+                    rem /= shape[d];
+                }
+                ws.field_data_mut(&format!("f{f}"), 0).set_global(&point, v);
+            }
+        }
+    };
+    let run = |opts: &ApplyOptions| {
+        op.run(opts, &seed, |ws| {
+            (0..nfields)
+                .map(|f| ws.gather(&format!("f{f}")))
+                .collect::<Vec<_>>()
+        })
+        .results
+        .remove(0)
+    };
+    let base = ApplyOptions::default().with_nt(nt as i64).with_dt(1.0);
+    let oracle = run(&base);
+    let mut engines = vec![(Backend::Bytecode, 0), (Backend::Bytecode, 16)];
+    if mpix::available_backends().contains(&Backend::Jit) {
+        engines.push((Backend::Jit, 0));
+    }
+    for (backend, vw) in engines {
+        let engine = base.clone().with_backend(backend).with_vector_width(vw);
+        for (layout, opts) in [
+            ("serial", engine.clone()),
+            ("4 ranks", engine.clone().with_ranks(4)),
+            ("2 threads", engine.clone().with_threads(2)),
+        ] {
+            let got = run(&opts);
+            for f in 0..nfields {
+                for (k, (&a, &b)) in got[f].iter().zip(&oracle[f]).enumerate() {
+                    prop_assert!(
+                        same_value(a, b),
+                        "field {f} idx {k}: {backend} vw={vw} {layout} gave {a:e} ({:#010x}), \
+                         scalar bytecode {b:e} ({:#010x}) (spec {spec:?})",
+                        a.to_bits(),
+                        b.to_bits()
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -186,6 +291,11 @@ proptest! {
     #[test]
     fn compiled_operator_matches_naive_4_ranks(spec in spec_strategy()) {
         check_spec(&spec, 2, 4)?;
+    }
+
+    #[test]
+    fn backends_agree_bitwise_on_hostile_inputs(spec in spec_strategy()) {
+        check_backends_bitwise(&spec, 2)?;
     }
 }
 
