@@ -103,10 +103,6 @@ impl PrecisionCertificate {
                 ),
             ),
             ("steps".to_string(), Value::Num(self.steps as f64)),
-            (
-                "denormals".to_string(),
-                Value::Str(self.assume.denormals.name().to_string()),
-            ),
         ]);
         let fields = Value::Arr(
             self.fields

@@ -10,8 +10,8 @@
 //!
 //! * one rounding event on a value with exact range `V` and incoming
 //!   error `e` yields `e + u·(|V| + e)` where `u` is the unit roundoff
-//!   of the compute precision — plus the smallest normal number when
-//!   the run flushes subnormals (FTZ|DAZ, [`Denormals::Flush`]);
+//!   of the compute precision — plus the smallest normal number, since
+//!   kernels run with subnormals flushed (FTZ|DAZ, `mpix_codegen::fpenv`);
 //! * `x·y` propagates `|x|·e_y + |y|·e_x + e_x·e_y` before rounding;
 //! * division, `sqrt`, `exp` use derivative bounds over the interval
 //!   (going unbounded — honestly — when the argument can reach the
@@ -46,7 +46,6 @@ use std::collections::BTreeMap;
 use mpix_codegen::bytecode::{
     compile_cluster, fuse_cluster, CoeffSrc, CompiledCluster, Op, RoundingModel,
 };
-use mpix_codegen::Denormals;
 use mpix_ir::cluster::{Cluster, Stmt};
 use mpix_ir::iexpr::IExpr;
 use mpix_ir::precision::{StoragePrecision, WireFormat};
@@ -121,7 +120,7 @@ fn safe_add(a: f64, b: f64) -> f64 {
 /// One compute precision's rounding behaviour: the unit roundoff `u`
 /// plus `flush`, the absolute error a result flushed to zero (FTZ) or
 /// an operand read as zero (DAZ) can add — below the smallest normal
-/// number when the run flushes subnormals, `0` otherwise.
+/// number for kernel arithmetic, `0` for software conversions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Rounding {
     u: f64,
@@ -129,13 +128,10 @@ struct Rounding {
 }
 
 impl Rounding {
-    fn new(storage: StoragePrecision, denormals: Denormals) -> Rounding {
+    fn new(storage: StoragePrecision) -> Rounding {
         Rounding {
             u: storage.unit_roundoff(),
-            flush: match denormals {
-                Denormals::Flush => storage.min_normal(),
-                Denormals::Preserve => 0.0,
-            },
+            flush: storage.min_normal(),
         }
     }
 
@@ -319,9 +315,7 @@ impl FpConfig {
 
 /// Externally supplied facts the certificate is conditional on: scalar
 /// bindings (`dt`, `h_*`, solver scalars), initial per-field value
-/// ranges, the step count to propagate through, and the subnormal mode
-/// the run executes under (`Flush`, the executor's default, adds up to
-/// one smallest-normal of absolute error per rounding event). The empty
+/// ranges, and the step count to propagate through. The empty
 /// ([`FpAssumptions::structural`]) variant drives the purely structural
 /// detectors used inside `lint_operator`.
 #[derive(Clone, Debug, Default)]
@@ -329,7 +323,6 @@ pub struct FpAssumptions {
     pub scalars: BTreeMap<String, f64>,
     pub fields: BTreeMap<FieldId, Interval>,
     pub steps: u32,
-    pub denormals: Denormals,
 }
 
 impl FpAssumptions {
@@ -353,11 +346,6 @@ impl FpAssumptions {
 
     pub fn with_steps(mut self, steps: u32) -> Self {
         self.steps = steps;
-        self
-    }
-
-    pub fn with_denormals(mut self, denormals: Denormals) -> Self {
-        self.denormals = denormals;
         self
     }
 }
@@ -564,7 +552,7 @@ pub fn analyze(
     cfg: FpConfig,
     assume: &FpAssumptions,
 ) -> FpReport {
-    let r = Rounding::new(cfg.storage, assume.denormals);
+    let r = Rounding::new(cfg.storage);
     let wire = cfg.wire.unit_roundoff().map(Rounding::ieee);
     let mut findings = Vec::new();
 
@@ -1041,32 +1029,18 @@ mod tests {
     }
 
     #[test]
-    fn flush_term_applies_only_under_flush() {
+    fn flush_term_bounds_an_all_zero_field() {
         // An all-zero field: every IEEE rounding is exact, so only the
-        // flush term can produce a nonzero bound.
+        // flush term can produce a nonzero bound — a few smallest normals.
         let (ctx, u) = ctx_1d(1);
         let clusters = vec![chain_cluster(u, 2)];
-        let bound = |denormals| {
-            let assume = FpAssumptions::default()
-                .with_field(u, 0.0, 0.0)
-                .with_steps(2)
-                .with_denormals(denormals);
-            analyze(&ctx, &clusters, FpConfig::shipped(), &assume).fields[&u].abs
-        };
-        assert_eq!(FpAssumptions::default().denormals, Denormals::Flush);
-        assert_eq!(bound(Denormals::Preserve), 0.0);
-        let flushed = bound(Denormals::Flush);
+        let assume = FpAssumptions::default()
+            .with_field(u, 0.0, 0.0)
+            .with_steps(2);
+        let flushed = analyze(&ctx, &clusters, FpConfig::shipped(), &assume).fields[&u].abs;
         assert!(
             flushed >= f32::MIN_POSITIVE as f64 && flushed < 1e-35,
             "{flushed:e}"
         );
-        let cert = certify(&ctx, &clusters, &FpAssumptions::default(), "k");
-        let mode = cert
-            .to_json()
-            .get("assumptions")
-            .and_then(|a| a.get("denormals"))
-            .and_then(mpix_json::Value::as_str)
-            .map(str::to_string);
-        assert_eq!(mode.as_deref(), Some("flush"));
     }
 }

@@ -22,7 +22,7 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::backend::{create_lowering, Backend, BackendError, ClusterKernel, Launch};
 use crate::bytecode::{compile_cluster, fuse_cluster, powi, CompiledCluster, Op};
-use crate::fpenv::{Denormals, FpEnvGuard};
+use crate::fpenv::FpEnvGuard;
 
 /// Strip widths the lane-vectorized engine is monomorphized for.
 pub const SUPPORTED_VECTOR_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -132,9 +132,6 @@ pub struct ExecOptions {
     /// Instrumentation level; at [`TraceLevel::Off`] (the default) the
     /// hooks cost one branch per span.
     pub trace: TraceLevel,
-    /// Subnormal handling on every thread that runs kernel code (see
-    /// [`crate::fpenv`]).
-    pub denormals: Denormals,
     /// Injected runtime bug for the sanitizer's mutant corpus
     /// (`tests/sanitizer.rs`). Shipped paths never set this.
     #[doc(hidden)]
@@ -149,7 +146,6 @@ impl Default for ExecOptions {
             threads: 1,
             vector_width: 0,
             trace: TraceLevel::Off,
-            denormals: Denormals::Flush,
             fault: None,
         }
     }
@@ -157,8 +153,9 @@ impl Default for ExecOptions {
 
 /// Fault injection for the sanitizer's runtime-mutant corpus: each
 /// variant plants one concrete bug class into an otherwise-correct
-/// execution, so `mpix-san` can be tested against real executor runs
-/// rather than synthetic event streams. Hidden because it exists only
+/// execution, so `mpix-san` (and, for [`Fault::NoFlush`], the
+/// floating-point environment test) can be tested against real executor
+/// runs rather than synthetic event streams. Hidden because it exists only
 /// for the test suite; nothing in the shipped pipeline sets it.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,6 +174,16 @@ pub enum Fault {
     OverlapSlabs,
     /// Declare per-worker write slabs with a coverage gap.
     GapSlabs,
+    /// Run kernels without the FTZ|DAZ guard ([`crate::fpenv`]), in
+    /// whatever mode their thread inherited — a kernel thread the guard
+    /// missed.
+    NoFlush,
+}
+
+/// The FTZ|DAZ guard a kernel thread holds while it runs (none under
+/// [`Fault::NoFlush`]).
+fn fpenv_guard(fault: Option<Fault>) -> Option<FpEnvGuard> {
+    (fault != Some(Fault::NoFlush)).then(FpEnvGuard::enter)
 }
 
 /// Map the compiler's mode enum onto the runtime's.
@@ -314,9 +321,9 @@ impl OperatorExec {
         opts: &ExecOptions,
     ) -> ExecStats {
         // Everything below — parameters, kernels, halo unpacking, sparse
-        // operators — runs in the requested floating-point mode; the
-        // caller's mode comes back when the guard drops.
-        let _fpenv = FpEnvGuard::enter(opts.denormals);
+        // operators — runs with subnormals flushed; the caller's mode
+        // comes back when the guard drops.
+        let _fpenv = fpenv_guard(opts.fault);
         // Evaluate precomputed parameters (r0 = 1/dt, ...).
         let max_param = self
             .param_defs
@@ -700,7 +707,7 @@ impl OperatorExec {
                     nthreads,
                     st.cart.comm().san().map(|a| a.as_ref()),
                     st.cart.rank(),
-                    &st.opts,
+                    st.opts.fault,
                 );
             }
         }
@@ -883,7 +890,7 @@ fn exec_box_threaded(
     nthreads: usize,
     san: Option<&San>,
     rank: usize,
-    opts: &ExecOptions,
+    fault: Option<Fault>,
 ) {
     let cc = l.cc;
     let (strides, halos) = (l.strides, l.halos);
@@ -974,7 +981,7 @@ fn exec_box_threaded(
             .iter()
             .map(|wk| (wk.range0.start, wk.range0.end))
             .collect();
-        match opts.fault {
+        match fault {
             Some(Fault::OverlapSlabs) => {
                 for i in 0..declared.len().saturating_sub(1) {
                     declared[i].1 += 1;
@@ -990,13 +997,12 @@ fn exec_box_threaded(
         san.slab_partition(rank, (r0.start, r0.end), &declared);
     }
 
-    let denormals = opts.denormals;
     std::thread::scope(|scope| {
         for wk in workers.into_iter() {
             scope.spawn(move || {
                 // A worker's mode must not depend on what its thread
-                // happened to inherit: enter the rank's explicitly.
-                let _fpenv = FpEnvGuard::enter(denormals);
+                // happened to inherit: enter FTZ|DAZ explicitly.
+                let _fpenv = fpenv_guard(fault);
                 let mut sub = bx.to_vec();
                 sub[0] = wk.range0.clone();
                 let mut reads = wk.reads;

@@ -6,7 +6,7 @@
 //! Devito's generated operators (`_MM_SET_DENORMALS_ZERO_MODE` /
 //! `_MM_SET_FLUSH_ZERO_MODE` at the top of every kernel), the executor
 //! therefore runs with the MXCSR flush-to-zero (FTZ) and
-//! denormals-are-zero (DAZ) bits set by default.
+//! denormals-are-zero (DAZ) bits set.
 //!
 //! The mode is scoped by [`FpEnvGuard`]: [`crate::OperatorExec::run`]
 //! holds one for the whole run on its rank thread and every slab worker
@@ -16,40 +16,8 @@
 //! previous mode when dropped, on unwind too, so the calling thread and
 //! the init/extract closures never observe a changed mode.
 //!
-//! Off x86-64 the guard is a no-op: [`Denormals`] is still carried and
-//! reported, but the hardware keeps its default (IEEE) mode.
-
-use std::fmt;
-
-/// Subnormal handling for a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Denormals {
-    /// FTZ|DAZ: subnormal results flush to zero and subnormal operands
-    /// read as zero. Each flush perturbs a value by less than
-    /// `f32::MIN_POSITIVE` (2⁻¹²⁶) absolutely.
-    #[default]
-    Flush,
-    /// IEEE gradual underflow: reproducible subnormal results, at the
-    /// cost of microcoded arithmetic once values reach the subnormal
-    /// range.
-    Preserve,
-}
-
-impl Denormals {
-    /// Stable lowercase name (`flush` / `preserve`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Denormals::Flush => "flush",
-            Denormals::Preserve => "preserve",
-        }
-    }
-}
-
-impl fmt::Display for Denormals {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+//! Off x86-64 the guard is a no-op and the hardware keeps its default
+//! (IEEE) mode.
 
 /// MXCSR flush-to-zero bit.
 const MXCSR_FTZ: u32 = 1 << 15;
@@ -72,8 +40,9 @@ pub fn mxcsr() -> Option<u32> {
     }
 }
 
-/// Sets the calling thread's subnormal mode for its lifetime and
-/// restores the previous FTZ/DAZ bits on drop. Not `Send`: the register it
+/// Sets FTZ|DAZ on the calling thread for its lifetime and restores
+/// the previous FTZ/DAZ bits on drop. Each flush perturbs a value by
+/// less than the smallest normal number (2⁻¹²⁶ in f32) absolutely. Not `Send`: the register it
 /// saved belongs to the thread that created it.
 pub struct FpEnvGuard {
     #[cfg(target_arch = "x86_64")]
@@ -82,18 +51,12 @@ pub struct FpEnvGuard {
 }
 
 impl FpEnvGuard {
-    /// Enter `mode` on the calling thread. `Preserve` clears FTZ|DAZ
-    /// rather than leaving them as found, so it means IEEE even when the
-    /// caller runs flushed.
-    pub fn enter(mode: Denormals) -> FpEnvGuard {
+    /// Enter FTZ|DAZ on the calling thread.
+    pub fn enter() -> FpEnvGuard {
         #[cfg(target_arch = "x86_64")]
         {
             let saved = x86::read();
-            let bits = MXCSR_FTZ | MXCSR_DAZ;
-            let want = match mode {
-                Denormals::Flush => saved | bits,
-                Denormals::Preserve => saved & !bits,
-            };
+            let want = saved | MXCSR_FTZ | MXCSR_DAZ;
             if want != saved {
                 x86::write(want);
             }
@@ -104,7 +67,6 @@ impl FpEnvGuard {
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = mode;
             FpEnvGuard {
                 _not_send: std::marker::PhantomData,
             }
@@ -173,38 +135,36 @@ mod tests {
     #[test]
     fn guard_sets_mode_and_restores_on_drop() {
         let Some(before) = mxcsr() else { return };
+        let tiny = std::hint::black_box(f32::MIN_POSITIVE);
+        assert!(
+            (tiny * 0.5).is_subnormal(),
+            "test threads start in IEEE mode"
+        );
         {
-            let _g = FpEnvGuard::enter(Denormals::Flush);
+            let _g = FpEnvGuard::enter();
             let m = mxcsr().unwrap();
             assert_eq!(m & (MXCSR_FTZ | MXCSR_DAZ), MXCSR_FTZ | MXCSR_DAZ);
             // Flushing is live: the smallest normal halved is zero.
-            let tiny = std::hint::black_box(f32::MIN_POSITIVE);
             assert_eq!(std::hint::black_box(tiny * 0.5), 0.0);
             {
-                let _p = FpEnvGuard::enter(Denormals::Preserve);
-                assert_eq!(mxcsr().unwrap() & (MXCSR_FTZ | MXCSR_DAZ), 0);
-                assert!((std::hint::black_box(tiny) * 0.5).is_subnormal());
+                // Entering again while flushed changes nothing, and the
+                // inner drop must leave the outer guard's mode in place.
+                let _inner = FpEnvGuard::enter();
             }
             assert_eq!(mode(), m & !MXCSR_FLAGS, "nested guard restores");
         }
         assert_eq!(mode(), before & !MXCSR_FLAGS);
+        assert!((std::hint::black_box(tiny) * 0.5).is_subnormal());
     }
 
     #[test]
     fn guard_restores_on_unwind() {
         let Some(before) = mxcsr() else { return };
         let r = std::panic::catch_unwind(|| {
-            let _g = FpEnvGuard::enter(Denormals::Flush);
+            let _g = FpEnvGuard::enter();
             panic!("kernel failure");
         });
         assert!(r.is_err());
         assert_eq!(mode(), before & !MXCSR_FLAGS);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Denormals::default(), Denormals::Flush);
-        assert_eq!(Denormals::Flush.to_string(), "flush");
-        assert_eq!(Denormals::Preserve.to_string(), "preserve");
     }
 }

@@ -44,5 +44,5 @@ pub use backend::{
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;
 pub use executor::{exec_compiles, halo_tag_base, ExecOptions, FieldState, OperatorExec, SparseOp};
-pub use fpenv::{Denormals, FpEnvGuard};
+pub use fpenv::FpEnvGuard;
 pub use jit::jit_modules_built;

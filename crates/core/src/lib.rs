@@ -48,16 +48,14 @@ pub use serve::{
 pub use workspace::Workspace;
 // The backend vocabulary, so callers can select/enumerate backends
 // without depending on mpix-codegen directly.
-pub use mpix_codegen::{available_backends, Backend, BackendError, Denormals};
+pub use mpix_codegen::{available_backends, Backend, BackendError};
 // The observability vocabulary, so downstream code needs only mpix-core.
 pub use mpix_analysis::{AnalysisConfig, AnalysisReport};
 pub use mpix_trace::{Diagnostic, PerfSummary, Section, Severity, TraceLevel, TraceReport};
 
 /// Convenient glob imports for examples and downstream crates.
 pub mod prelude {
-    pub use crate::{
-        Applied, ApplyOptions, Backend, Denormals, Operator, PerfSummary, TraceLevel, Workspace,
-    };
+    pub use crate::{Applied, ApplyOptions, Backend, Operator, PerfSummary, TraceLevel, Workspace};
     pub use mpix_comm::{CartComm, Comm, Universe};
     pub use mpix_dmp::{Decomposition, DistArray, HaloMode, SparsePoints};
     pub use mpix_symbolic::{Context, Eq, Expr, FieldHandle, Grid, Stagger};

@@ -5,7 +5,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mpix_codegen::executor::{mpi_mode_of, ExecOptions, ExecStats, Fault, OperatorExec};
-use mpix_codegen::{Backend, Denormals};
+use mpix_codegen::Backend;
 use mpix_comm::{dims_create, CartComm, Universe};
 use mpix_dmp::HaloMode;
 use mpix_ir::cluster::{clusterize, Cluster};
@@ -102,13 +102,6 @@ pub struct ApplyOptions {
     /// stderr. Off by default — when off the only cost anywhere in the
     /// runtime is one `Option` branch per hook site.
     pub sanitize: bool,
-    /// Subnormal handling on every kernel thread (see
-    /// [`mpix_codegen::fpenv`]). `Flush` (the default) sets FTZ|DAZ, as
-    /// Devito's generated operators do; `Preserve` keeps IEEE gradual
-    /// underflow for reproducible subnormal results, at up to ~10× the
-    /// per-step cost once a wavefield's tail decays into the subnormal
-    /// range. Set in code only: there is no environment override.
-    pub denormals: Denormals,
     /// Test-only fault injection for the sanitizer's mutant corpus:
     /// makes the executor misbehave in a specific way so the owning
     /// detector can prove it fires. Never set this outside tests.
@@ -134,7 +127,6 @@ impl Default for ApplyOptions {
             label: "operator".to_string(),
             verify: cfg!(debug_assertions),
             sanitize: false,
-            denormals: Denormals::Flush,
             fault: None,
         }
     }
@@ -199,10 +191,6 @@ impl ApplyOptions {
     }
     pub fn with_sanitize(mut self, sanitize: bool) -> Self {
         self.sanitize = sanitize;
-        self
-    }
-    pub fn with_denormals(mut self, denormals: Denormals) -> Self {
-        self.denormals = denormals;
         self
     }
 
@@ -507,7 +495,6 @@ impl Operator {
                 threads: opts.threads,
                 vector_width: opts.vector_width,
                 trace: opts.trace,
-                denormals: opts.denormals,
                 fault: opts.fault,
             },
         )
@@ -639,7 +626,6 @@ impl Operator {
             &reports,
         )
         .with_roofline(format!("{} (reference)", machine.name), ceiling)
-        .with_denormals(opts.denormals.name())
         .with_diagnostics(diagnostics);
 
         Applied { results, summary }

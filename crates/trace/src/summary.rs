@@ -150,9 +150,6 @@ pub struct PerfSummary {
     pub kernel: String,
     /// Halo mode label (`basic`/`diag`/`full`).
     pub mode: String,
-    /// Subnormal handling the kernels ran under (`flush`/`preserve`);
-    /// empty when the producer did not say.
-    pub denormals: String,
     pub ranks: usize,
     pub timesteps: i64,
     /// Global points updated per step (sum over ranks / timesteps).
@@ -252,7 +249,6 @@ impl PerfSummary {
         PerfSummary {
             kernel: kernel.into(),
             mode: mode.into(),
-            denormals: String::new(),
             ranks,
             timesteps,
             points_per_step: if timesteps > 0 {
@@ -281,12 +277,6 @@ impl PerfSummary {
         self
     }
 
-    /// Record the subnormal mode the kernels ran under.
-    pub fn with_denormals(mut self, denormals: impl Into<String>) -> PerfSummary {
-        self.denormals = denormals.into();
-        self
-    }
-
     /// Attach verification findings (the `mpix-analysis` pass output).
     pub fn with_diagnostics(mut self, diagnostics: Vec<Diagnostic>) -> PerfSummary {
         self.diagnostics = diagnostics;
@@ -297,7 +287,6 @@ impl PerfSummary {
         json!({
             "kernel": &self.kernel,
             "mode": &self.mode,
-            "denormals": &self.denormals,
             "ranks": self.ranks,
             "timesteps": self.timesteps,
             "points_per_step": self.points_per_step,
@@ -330,11 +319,6 @@ impl PerfSummary {
                 .get("mode")
                 .and_then(Value::as_str)
                 .ok_or("mode missing")?
-                .to_string(),
-            denormals: v
-                .get("denormals")
-                .and_then(Value::as_str)
-                .unwrap_or("")
                 .to_string(),
             ranks: v
                 .get("ranks")
@@ -381,13 +365,8 @@ impl PerfSummary {
     /// The human-readable table.
     pub fn table(&self) -> String {
         let mut out = String::new();
-        let denormals = if self.denormals.is_empty() {
-            String::new()
-        } else {
-            format!(" · denormals={}", self.denormals)
-        };
         out.push_str(&format!(
-            "PerfSummary — {} · mode={} · ranks={} · nt={}{denormals}\n",
+            "PerfSummary — {} · mode={} · ranks={} · nt={}\n",
             self.kernel, self.mode, self.ranks, self.timesteps
         ));
         let roof = match (self.roofline_gflops, &self.roofline_machine) {
@@ -523,7 +502,6 @@ mod tests {
             &[r0, r1],
         )
         .with_roofline("archer2-node", 150.0)
-        .with_denormals("flush")
     }
 
     #[test]
@@ -558,7 +536,6 @@ mod tests {
         assert!(t.contains("roofline 150.0 GFlops/s"), "{t}");
         assert!(t.lines().count() > 4, "{t}");
         assert!(t.contains("halo.wait"), "{t}");
-        assert!(t.contains("denormals=flush"), "{t}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The same random operators also run through every execution engine —
 //! scalar bytecode, W=16 strips, the native JIT — serially, on 4 ranks
 //! and on 2 slab threads, from hostile inputs (subnormals, ±0, ±Inf,
-//! NaN), and must agree bit for bit under the default subnormal flushing.
+//! NaN), and must agree bit for bit with subnormals flushed.
 
 // Linear indices are decoded into multi-dim points in place, so the
 // index-based loops are the natural shape here.
