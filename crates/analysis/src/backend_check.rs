@@ -16,10 +16,14 @@
 //!
 //! The synthetic geometry deliberately uses an odd innermost extent so
 //! the JIT's 8-lane strip loop leaves a live scalar tail, and per-axis
-//! distinct extents so a transposed stride bug cannot cancel out.
+//! distinct extents so a transposed stride bug cannot cancel out. It is
+//! run twice: once with finite fills, compared strictly bit for bit, and
+//! once with hostile fills (±subnormals, ±0, ±Inf, NaN), where any NaN
+//! matches any NaN. Both run with subnormals flushed, as every kernel
+//! thread does.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
-use mpix_codegen::{create_lowering, Backend, Launch};
+use mpix_codegen::{create_lowering, Backend, FpEnvGuard, Launch};
 use mpix_dmp::regions::BoxNd;
 use mpix_trace::Diagnostic;
 
@@ -40,7 +44,62 @@ struct Geometry {
     bx: BoxNd,
 }
 
-fn build_geometry(cc: &CompiledCluster, num_params: usize) -> Geometry {
+/// What the synthetic buffers hold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fill {
+    /// Sign-varying, exactly representable finite values; stores must
+    /// match the oracle bit for bit.
+    Finite,
+    /// Mostly ordinary values seeded with ±subnormals, ±0, ±Inf and NaN;
+    /// stores must match bit for bit, except that any NaN matches any
+    /// NaN (payloads are not part of the contract).
+    Hostile,
+}
+
+impl Fill {
+    fn value(self, i: usize, s: usize, len: usize) -> f32 {
+        match self {
+            // The same recipe as `bytecode_check`'s fusion spot check.
+            Fill::Finite => (((i * 31 + s * 17 + 7) % 97) as f32) * 0.0625 - 3.0,
+            Fill::Hostile => {
+                // One NaN, +Inf and −Inf per stream.
+                if i == (s * 7) % len {
+                    return f32::NAN;
+                }
+                if i == (s * 7 + 3) % len {
+                    return f32::INFINITY;
+                }
+                if i == (s * 7 + 5) % len {
+                    return f32::NEG_INFINITY;
+                }
+                let tiny = f32::from_bits(1);
+                match i.wrapping_mul(2654435761).wrapping_add(s * 97) % 13 {
+                    0 => tiny,
+                    1 => -tiny * 300.0,
+                    2 => 0.0,
+                    3 => -0.0,
+                    4 => f32::MIN_POSITIVE,
+                    5 => -1.5 * f32::MIN_POSITIVE,
+                    h => (h as f32 - 8.0) / 8.0,
+                }
+            }
+        }
+    }
+
+    /// Whether `got` matches the oracle's `want` under this fill's rule.
+    fn same(self, want: f32, got: f32) -> bool {
+        want.to_bits() == got.to_bits() || (self == Fill::Hostile && want.is_nan() && got.is_nan())
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Fill::Finite => "finite",
+            Fill::Hostile => "hostile",
+        }
+    }
+}
+
+fn build_geometry(cc: &CompiledCluster, num_params: usize, fill: Fill) -> Geometry {
     let nd = cc
         .offsets
         .iter()
@@ -79,14 +138,8 @@ fn build_geometry(cc: &CompiledCluster, num_params: usize) -> Geometry {
         })
         .collect();
 
-    // Deterministic, sign-varying, exactly-representable fills — the
-    // same recipe as `bytecode_check`'s fusion spot check.
     let init: Vec<Vec<f32>> = (0..cc.streams.len())
-        .map(|s| {
-            (0..len)
-                .map(|i| (((i * 31 + s * 17 + 7) % 97) as f32) * 0.0625 - 3.0)
-                .collect()
-        })
+        .map(|s| (0..len).map(|i| fill.value(i, s, len)).collect())
         .collect();
     let scalars: Vec<f32> = (0..cc.scalars.len())
         .map(|j| 0.5 + 0.25 * (j + 1) as f32)
@@ -147,10 +200,12 @@ fn run_backend(
     Ok(bufs)
 }
 
-/// Compare one backend run against the oracle buffers, bitwise.
+/// Compare one backend run against the oracle buffers, bitwise (NaN
+/// matching NaN under [`Fill::Hostile`]).
 fn compare(
     ci: usize,
     cc: &CompiledCluster,
+    fill: Fill,
     oracle: &[Vec<f32>],
     got: &[Vec<f32>],
     what: &str,
@@ -160,14 +215,14 @@ fn compare(
         let mismatches = a
             .iter()
             .zip(b)
-            .filter(|(x, y)| x.to_bits() != y.to_bits())
+            .filter(|(x, y)| !fill.same(**x, **y))
             .count();
         if mismatches > 0 {
             let (idx, (x, y)) = a
                 .iter()
                 .zip(b)
                 .enumerate()
-                .find(|(_, (x, y))| x.to_bits() != y.to_bits())
+                .find(|(_, (x, y))| !fill.same(**x, **y))
                 .unwrap();
             diags.push(Diagnostic::error(
                 PASS,
@@ -187,11 +242,11 @@ fn compare(
 }
 
 /// Prove every backend in `backends` produces stores bitwise identical
-/// to the scalar bytecode interpreter on this cluster. For the
-/// interpreter itself the sweep covers the vectorized strip widths and
-/// cache blocking (self-consistency across execution shapes); native
-/// backends are additionally run blocked, since the JIT sees tile-sized
-/// boxes through the same entry point.
+/// to the scalar bytecode interpreter on this cluster, from finite and
+/// from hostile fills. For the interpreter itself the sweep covers the
+/// vectorized strip widths and cache blocking (self-consistency across
+/// execution shapes); native backends are additionally run blocked,
+/// since the JIT sees tile-sized boxes through the same entry point.
 pub fn check_backend_equivalence(
     ci: usize,
     cc: &CompiledCluster,
@@ -205,40 +260,51 @@ pub fn check_backend_equivalence(
     if has_invalid_params(cc, num_params) {
         return diags; // bytecode_check flags this; running would be UB
     }
-    let geo = build_geometry(cc, num_params);
-    let oracle = match run_backend(cc, &geo, Backend::Bytecode, 0, 0) {
-        Ok(b) => b,
-        Err(e) => {
-            diags.push(Diagnostic::error(
-                PASS,
-                format!("cluster {ci}"),
-                format!("bytecode oracle failed to run: {e}"),
-            ));
-            return diags;
-        }
-    };
-
-    for &backend in backends {
-        // (block, vw) shapes per backend: the interpreter sweeps its
-        // strip widths; other backends ignore vw, so sweep blocking.
-        let shapes: &[(usize, usize)] = if backend == Backend::Bytecode {
-            &[(0, 8), (0, 16), (0, 32), (2, 8)]
-        } else {
-            &[(0, 0), (2, 0)]
+    let _fpenv = FpEnvGuard::enter();
+    for fill in [Fill::Finite, Fill::Hostile] {
+        let geo = build_geometry(cc, num_params, fill);
+        let oracle = match run_backend(cc, &geo, Backend::Bytecode, 0, 0) {
+            Ok(b) => b,
+            Err(e) => {
+                diags.push(Diagnostic::error(
+                    PASS,
+                    format!("cluster {ci}"),
+                    format!("bytecode oracle failed to run: {e}"),
+                ));
+                return diags;
+            }
         };
-        for &(block, vw) in shapes {
-            match run_backend(cc, &geo, backend, block, vw) {
-                Ok(got) => {
-                    let what = format!("backend {backend} (block={block}, vw={vw})");
-                    compare(ci, cc, &oracle, &got, &what, &mut diags);
-                }
-                Err(e) => {
-                    diags.push(Diagnostic::warning(
-                        PASS,
-                        format!("cluster {ci}"),
-                        format!("backend {backend} unavailable, equivalence not checked: {e}"),
-                    ));
-                    break;
+
+        for &backend in backends {
+            // (block, vw) shapes per backend: the interpreter sweeps its
+            // strip widths; other backends ignore vw, so sweep blocking.
+            let shapes: &[(usize, usize)] = if backend == Backend::Bytecode {
+                &[(0, 8), (0, 16), (0, 32), (2, 8)]
+            } else {
+                &[(0, 0), (2, 0)]
+            };
+            for &(block, vw) in shapes {
+                match run_backend(cc, &geo, backend, block, vw) {
+                    Ok(got) => {
+                        let what = format!(
+                            "backend {backend} (block={block}, vw={vw}, {} fill)",
+                            fill.name()
+                        );
+                        compare(ci, cc, fill, &oracle, &got, &what, &mut diags);
+                    }
+                    Err(e) => {
+                        // Reported once, from the first fill.
+                        if fill == Fill::Finite {
+                            diags.push(Diagnostic::warning(
+                                PASS,
+                                format!("cluster {ci}"),
+                                format!(
+                                    "backend {backend} unavailable, equivalence not checked: {e}"
+                                ),
+                            ));
+                        }
+                        break;
+                    }
                 }
             }
         }
@@ -277,22 +343,75 @@ mod tests {
         // Self-check of the comparator: perturb the oracle manually and
         // make sure `compare` reports a bitwise mismatch.
         let cc = star_cluster();
-        let geo = build_geometry(&cc, 0);
+        let geo = build_geometry(&cc, 0, Fill::Finite);
         let oracle = run_backend(&cc, &geo, Backend::Bytecode, 0, 0).unwrap();
         let mut got = oracle.clone();
         let s = cc.written.iter().position(|&w| w).unwrap();
         let mid = got[s].len() / 2;
         got[s][mid] += 1.0;
         let mut diags = Vec::new();
-        compare(0, &cc, &oracle, &got, "perturbed", &mut diags);
+        compare(0, &cc, Fill::Finite, &oracle, &got, "perturbed", &mut diags);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].explanation.contains("differ bitwise"), "{diags:?}");
     }
 
     #[test]
+    fn hostile_fill_seeds_every_special_class() {
+        let cc = star_cluster();
+        let geo = build_geometry(&cc, 0, Fill::Hostile);
+        for (s, buf) in geo.init.iter().enumerate() {
+            let has = |p: fn(f32) -> bool| buf.iter().any(|&v| p(v));
+            assert!(has(|v| v.is_nan()), "stream {s}: NaN");
+            assert!(has(|v| v == f32::INFINITY), "stream {s}: +Inf");
+            assert!(has(|v| v == f32::NEG_INFINITY), "stream {s}: -Inf");
+            assert!(
+                has(|v| v.is_subnormal() && v > 0.0),
+                "stream {s}: +subnormal"
+            );
+            assert!(
+                has(|v| v.is_subnormal() && v < 0.0),
+                "stream {s}: -subnormal"
+            );
+            assert!(has(|v| v.to_bits() == 0), "stream {s}: +0");
+            assert!(has(|v| v.to_bits() == 0x8000_0000), "stream {s}: -0");
+        }
+    }
+
+    #[test]
+    fn only_the_hostile_fill_forgives_nan_payloads() {
+        let cc = star_cluster();
+        let s = cc.written.iter().position(|&w| w).unwrap();
+        let geo = build_geometry(&cc, 0, Fill::Hostile);
+        let oracle = run_backend(&cc, &geo, Backend::Bytecode, 0, 0).unwrap();
+        let nan = oracle[s].iter().position(|v| v.is_nan()).unwrap();
+        let mut got = oracle.clone();
+        got[s][nan] = f32::from_bits(oracle[s][nan].to_bits() ^ 1);
+        for (fill, caught) in [(Fill::Hostile, 0), (Fill::Finite, 1)] {
+            let mut diags = Vec::new();
+            compare(0, &cc, fill, &oracle, &got, "payload", &mut diags);
+            assert_eq!(diags.len(), caught, "{fill:?}: {diags:?}");
+        }
+        // A sign-of-zero flip is a real difference under either rule.
+        let zero = oracle[s].iter().position(|&v| v == 0.0).unwrap();
+        let mut got = oracle.clone();
+        got[s][zero] = -oracle[s][zero];
+        let mut diags = Vec::new();
+        compare(
+            0,
+            &cc,
+            Fill::Hostile,
+            &oracle,
+            &got,
+            "signed zero",
+            &mut diags,
+        );
+        assert_eq!(diags.len(), 1, "{diags:?}");
+    }
+
+    #[test]
     fn geometry_has_unit_innermost_stride_and_odd_extent() {
         let cc = star_cluster();
-        let geo = build_geometry(&cc, 0);
+        let geo = build_geometry(&cc, 0, Fill::Finite);
         for s in &geo.strides {
             assert_eq!(*s.last().unwrap(), 1);
         }

@@ -4,7 +4,7 @@
 //! a disabled-trace run stays within noise of the untraced baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mpix_core::{ApplyOptions, TraceLevel};
+use mpix_core::{ApplyOptions, Backend, TraceLevel};
 use mpix_solvers::{KernelKind, ModelSpec, Propagator};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -52,7 +52,10 @@ fn bench_vector_width(c: &mut Criterion) {
                 BenchmarkId::new(format!("acoustic_so{so}"), format!("vw{vw}")),
                 &vw,
                 |b, &vw| {
-                    let opts = prop.apply_options(1).with_vector_width(vw);
+                    let opts = prop
+                        .apply_options(1)
+                        .with_backend(Backend::Bytecode)
+                        .with_vector_width(vw);
                     b.iter(|| {
                         prop.op
                             .run(

@@ -4,7 +4,12 @@
 //! cargo run --release -p mpix-bench --bin mpix-serve                # demo workload
 //! cargo run --release -p mpix-bench --bin mpix-serve -- --jobs 48  # bigger mix
 //! cargo run --release -p mpix-bench --bin mpix-serve -- --smoke    # CI gate
+//! MPIX_BACKEND=bytecode cargo run --release -p mpix-bench --bin mpix-serve -- --smoke
 //! ```
+//!
+//! Every job's options take the `ApplyOptions` environment overrides
+//! (`MPIX_BACKEND`, `MPIX_VW`, ...), so a job script picks the engine
+//! for the whole mix.
 //!
 //! Streams one compact JSON line per finished job (cache hit/miss,
 //! admission price, the run's `PerfSummary` with diagnostics) followed
@@ -20,6 +25,8 @@
 //! * compilation ran exactly once per unique content key — both the
 //!   cache's own counters (`compiles == misses == unique keys`) and the
 //!   process-global `mpix_codegen::exec_compiles()` delta must agree,
+//! * every job ran on the backend its options selected (the summary's
+//!   `backend`),
 //! * the final summary line reports the cache hit rate.
 //!
 //! Exit status is nonzero on any violation.
@@ -28,6 +35,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use mpix_core::serve::{Job, RecordSink, ServeConfig, Server};
+use mpix_core::ApplyOptions;
 use mpix_dmp::HaloMode;
 use mpix_json::Value;
 use mpix_solvers::{KernelKind, ModelSpec, Propagator};
@@ -74,6 +82,18 @@ fn build_workload() -> Vec<Workload> {
     entries
 }
 
+/// The options every job of `w` runs with: the workload's mode, ranks
+/// and steps, then the environment overrides.
+fn job_options(w: &Workload, smoke: bool) -> ApplyOptions {
+    w.prop
+        .apply_options(w.nt)
+        .with_mode(w.mode)
+        .with_ranks(w.ranks)
+        .with_verify(false)
+        .with_sanitize(smoke)
+        .env_overrides()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -93,9 +113,9 @@ fn main() {
     // it must not key the cache.
     let mut expected_keys: HashSet<u64> = HashSet::new();
     for w in workload.iter().take(jobs_target.max(1)) {
-        let opts = w.prop.apply_options(w.nt).with_mode(w.mode);
-        expected_keys.insert(w.prop.op.content_key(&opts));
+        expected_keys.insert(w.prop.op.content_key(&job_options(w, smoke)));
     }
+    let backend = job_options(&workload[0], smoke).backend.to_string();
 
     let stdout_sink = Arc::new(JsonlSink::stdout());
     let records: Arc<Mutex<Vec<Value>>> = Arc::new(Mutex::new(Vec::new()));
@@ -118,13 +138,7 @@ fn main() {
     for i in 0..jobs_target {
         let w = &workload[i % workload.len()];
         let tenant = tenants[i % tenants.len()];
-        let opts = w
-            .prop
-            .apply_options(w.nt)
-            .with_mode(w.mode)
-            .with_ranks(w.ranks)
-            .with_verify(false)
-            .with_sanitize(smoke);
+        let opts = job_options(w, smoke);
         let init_prop = Arc::clone(&w.prop);
         server.submit(
             Job::new(tenant, Arc::clone(&w.prop.op), opts).with_init(move |ws| init_prop.init(ws)),
@@ -172,12 +186,23 @@ fn main() {
     }
 
     let records = records.lock().unwrap();
-    let san_findings: usize = records
-        .iter()
-        .filter(|r| r.get("record").and_then(Value::as_str) == Some("job"))
-        .flat_map(|r| {
-            r.get("summary")
-                .and_then(|s| s.get("diagnostics"))
+    let job_summaries = || {
+        records
+            .iter()
+            .filter(|r| r.get("record").and_then(Value::as_str) == Some("job"))
+            .filter_map(|r| r.get("summary"))
+    };
+    let off_backend = job_summaries()
+        .filter(|s| s.get("backend").and_then(Value::as_str) != Some(backend.as_str()))
+        .count();
+    if off_backend != 0 {
+        violations.push(format!(
+            "{off_backend} job(s) did not run on the selected backend {backend}"
+        ));
+    }
+    let san_findings: usize = job_summaries()
+        .flat_map(|s| {
+            s.get("diagnostics")
                 .and_then(Value::as_array)
                 .unwrap_or(&[])
                 .iter()
@@ -208,7 +233,8 @@ fn main() {
 
     if violations.is_empty() {
         eprintln!(
-            "smoke ok: {} jobs, {} unique keys, {} compiles, hit rate {:.1}%, 0 san findings",
+            "smoke ok: {} jobs on {backend}, {} unique keys, {} compiles, hit rate {:.1}%, \
+             0 san findings",
             report.jobs,
             expected_keys.len(),
             report.cache.compiles,

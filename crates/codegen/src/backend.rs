@@ -31,10 +31,10 @@ pub enum Backend {
     /// runtime behaviour must match the interpreter by construction.
     C,
     /// The portable stack-bytecode interpreter with lane-vectorized
-    /// strips (the default; runs everywhere).
+    /// strips (runs everywhere; the default where the JIT cannot run).
     Bytecode,
     /// Native x86-64 AVX code generated at runtime through the vendored
-    /// `cranelift` crate. Clusters the JIT cannot prove it supports fall
+    /// `cranelift` crate (the default wherever it can run). Clusters the JIT cannot prove it supports fall
     /// back to the bytecode interpreter per cluster, so selecting this
     /// backend never changes results — only speed.
     Jit,
@@ -51,6 +51,18 @@ pub fn available_backends() -> Vec<Backend> {
         v.push(Backend::Jit);
     }
     v
+}
+
+/// The backend a run gets unless it asks for another: the JIT where
+/// [`available_backends`] has it, the bytecode interpreter everywhere
+/// else. Both are bitwise identical, so the rule only picks the faster
+/// engine the host can run.
+pub fn default_backend() -> Backend {
+    if cranelift::TargetInfo::host().supports_jit() {
+        Backend::Jit
+    } else {
+        Backend::Bytecode
+    }
 }
 
 impl fmt::Display for Backend {
@@ -150,6 +162,14 @@ pub trait ClusterKernel: Send + Sync {
     /// runs reuse modules instead of re-encoding machine code.
     fn cached_modules(&self) -> usize {
         0
+    }
+
+    /// Whether this kernel has run any box on the bytecode interpreter
+    /// in place of the backend's own code (a JIT cluster it could not
+    /// lower natively). Always `false` for interpreter kernels, which
+    /// *are* the interpreter.
+    fn fell_back(&self) -> bool {
+        false
     }
 
     /// Execute over `bx` with split bindings (threaded path): shared

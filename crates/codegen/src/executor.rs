@@ -248,8 +248,8 @@ pub struct OperatorExec {
 }
 
 impl OperatorExec {
-    /// Precompile every space loop in the IET with the default
-    /// (bytecode) backend.
+    /// Precompile every space loop in the IET with the bytecode
+    /// backend.
     pub fn new(iet: Node, ctx: &Context) -> OperatorExec {
         Self::with_backend(iet, ctx, Backend::Bytecode)
             .expect("bytecode backend is always available")
@@ -306,6 +306,13 @@ impl OperatorExec {
     /// repeated runs of the same geometry — the compile-once contract.
     pub fn cached_native_modules(&self) -> usize {
         self.kernels.iter().map(|k| k.cached_modules()).sum()
+    }
+
+    /// How many of this executable's clusters have run on the bytecode
+    /// fallback instead of the backend's own code, over every run so
+    /// far (0 for interpreter backends).
+    pub fn fallback_clusters(&self) -> usize {
+        self.kernels.iter().filter(|k| k.fell_back()).count()
     }
 
     /// Run the operator for time steps `t0 .. t0 + nt`.

@@ -45,6 +45,7 @@
 //! *is* the reference semantics.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Ymm};
@@ -189,6 +190,7 @@ impl Lowering for JitLowering {
             plan: JitPlan::analyze(cc),
             modules: Mutex::new(HashMap::new()),
             fallback: BytecodeKernel,
+            fell_back: AtomicBool::new(false),
         })
     }
 }
@@ -202,6 +204,8 @@ pub struct JitKernel {
     plan: JitPlan,
     modules: Mutex<HashMap<Vec<isize>, Option<Arc<CompiledModule>>>>,
     fallback: BytecodeKernel,
+    /// Set the first time a box runs on `fallback` instead of native code.
+    fell_back: AtomicBool,
 }
 
 impl JitKernel {
@@ -223,6 +227,16 @@ impl JitKernel {
         cache.insert(resolved.to_vec(), built.clone());
         built
     }
+
+    /// The interpreter, for a box the native code cannot run.
+    fn on_fallback(&self) -> &BytecodeKernel {
+        // Load first: slab workers would otherwise write the shared
+        // flag's cache line on every box.
+        if !self.fell_back.load(Ordering::Relaxed) {
+            self.fell_back.store(true, Ordering::Relaxed);
+        }
+        &self.fallback
+    }
 }
 
 impl ClusterKernel for JitKernel {
@@ -235,13 +249,17 @@ impl ClusterKernel for JitKernel {
             .count()
     }
 
+    fn fell_back(&self) -> bool {
+        self.fell_back.load(Ordering::Relaxed)
+    }
+
     fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
         match self.module_for(l.cc, l.resolved) {
             Some(module) => {
                 let origins: Vec<*mut f32> = buffers.iter_mut().map(|b| b.as_mut_ptr()).collect();
                 run_box(&module, l, bx, &origins);
             }
-            None => self.fallback.exec_box(l, bx, buffers),
+            None => self.on_fallback().exec_box(l, bx, buffers),
         }
     }
 
@@ -253,7 +271,7 @@ impl ClusterKernel for JitKernel {
         writes: &mut [Option<(&mut [f32], usize)>],
     ) {
         if !self.plan.mixed_safe {
-            return self.fallback.exec_box_mixed(l, bx, reads, writes);
+            return self.on_fallback().exec_box_mixed(l, bx, reads, writes);
         }
         match self.module_for(l.cc, l.resolved) {
             Some(module) => {
@@ -272,7 +290,7 @@ impl ClusterKernel for JitKernel {
                     .collect();
                 run_box(&module, l, bx, &origins);
             }
-            None => self.fallback.exec_box_mixed(l, bx, reads, writes),
+            None => self.on_fallback().exec_box_mixed(l, bx, reads, writes),
         }
     }
 }

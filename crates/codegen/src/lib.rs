@@ -10,11 +10,13 @@
 //!   executable backend below (see DESIGN.md).
 //! * [`bytecode`] — compiles cluster statements into a compact
 //!   register/stack program with precomputed array-offset tables — the
-//!   portable default backend and the semantic oracle the other
-//!   backends are verified against.
+//!   portable backend (the default where the JIT cannot run) and the
+//!   semantic oracle the other backends are verified against.
 //! * [`jit`] — lowers the same compiled clusters to native x86-64 AVX
 //!   machine code at runtime (the paper's JIT compilation step made
 //!   real), bitwise-equivalent to the bytecode engine by construction.
+//!   The default backend wherever the host can run it
+//!   ([`default_backend`]).
 //! * [`executor`] — runs the lowered IET on a rank: rotating time
 //!   buffers, loop-blocked (and optionally multi-threaded — the "X" in
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
@@ -38,8 +40,8 @@ pub mod fpenv;
 pub mod jit;
 
 pub use backend::{
-    available_backends, create_lowering, Backend, BackendError, ClusterKernel, Launch, Lowering,
-    BACKEND_NAMES,
+    available_backends, create_lowering, default_backend, Backend, BackendError, ClusterKernel,
+    Launch, Lowering, BACKEND_NAMES,
 };
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;

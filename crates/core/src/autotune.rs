@@ -112,7 +112,8 @@ impl Operator {
     /// tile × interpreter lane width (`(block, vector_width)` pairs).
     /// The two interact — a tile must hold several full strips to keep
     /// the vector path off the scalar remainder — so a joint sweep beats
-    /// tuning each axis in isolation.
+    /// tuning each axis in isolation. The width only matters when `base`
+    /// selects the `bytecode` backend; the default JIT ignores it.
     pub fn autotune_exec<FI>(
         &self,
         base: &ApplyOptions,
@@ -257,7 +258,10 @@ mod tests {
     #[test]
     fn exec_tuner_sweeps_block_width_cross_product() {
         let op = op();
-        let base = ApplyOptions::default().with_dt(0.001);
+        // The lane width is an interpreter knob; the default JIT ignores it.
+        let base = ApplyOptions::default()
+            .with_backend(Backend::Bytecode)
+            .with_dt(0.001);
         let report = op.autotune_exec(&base, 2, &[0, 8], &[0, 8, 16], |_| ());
         assert_eq!(report.trials.len(), 6);
         assert!(report.trials.iter().any(|(c, _)| *c == report.best));

@@ -48,7 +48,7 @@ pub use serve::{
 pub use workspace::Workspace;
 // The backend vocabulary, so callers can select/enumerate backends
 // without depending on mpix-codegen directly.
-pub use mpix_codegen::{available_backends, Backend, BackendError};
+pub use mpix_codegen::{available_backends, default_backend, Backend, BackendError};
 // The observability vocabulary, so downstream code needs only mpix-core.
 pub use mpix_analysis::{AnalysisConfig, AnalysisReport};
 pub use mpix_trace::{Diagnostic, PerfSummary, Section, Severity, TraceLevel, TraceReport};

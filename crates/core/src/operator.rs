@@ -52,7 +52,7 @@ impl From<LoweringError> for BuildError {
 /// | `MPIX_THREADS` | `threads` | like `OMP_NUM_THREADS`                 |
 /// | `MPIX_RANKS`   | `ranks`   | simulated MPI ranks                    |
 /// | `MPIX_TRACE`   | `trace`   | `off`, `summary`, `full`               |
-/// | `MPIX_VW`      | `vector_width` | `0`/`1` (scalar), `8`, `16`, `32` |
+/// | `MPIX_VW`      | `vector_width` | `0`/`1` (scalar), `8`, `16`, `32`; only the `bytecode` backend reads it |
 /// | `MPIX_BACKEND` | `backend` | `c`, `bytecode`, `jit`                 |
 /// | `MPIX_VERIFY`  | `verify`  | `0`/`off`/`false`, `1`/`on`/`true`     |
 /// | `MPIX_SAN`     | `sanitize`| `0`/`off`/`false`, `1`/`on`/`true`     |
@@ -67,9 +67,11 @@ pub struct ApplyOptions {
     /// instruction set.
     pub vector_width: usize,
     /// Execution backend compiling the kernel bodies (see
-    /// [`mpix_codegen::Backend`]): `bytecode` (default, portable),
-    /// `jit` (native SIMD), or `c` (paper-style C emission; executes
-    /// through the interpreter). Results are bitwise identical across
+    /// [`mpix_codegen::Backend`]): `jit` (native SIMD), `bytecode`
+    /// (portable interpreter), or `c` (paper-style C emission; executes
+    /// through the interpreter). The default is the host rule
+    /// [`mpix_codegen::default_backend`]: `jit` where the host can run
+    /// it, `bytecode` otherwise. Results are bitwise identical across
     /// backends — only speed differs.
     pub backend: Backend,
     /// Number of time steps.
@@ -116,7 +118,7 @@ impl Default for ApplyOptions {
             block: 0,
             threads: 1,
             vector_width: 0,
-            backend: Backend::Bytecode,
+            backend: mpix_codegen::default_backend(),
             nt: 1,
             t0: 0,
             dt: None,
@@ -300,6 +302,9 @@ pub struct Operator {
     /// Memoized per-point bytecode flop count (see
     /// [`bytecode_flops`](Self::bytecode_flops)).
     bc_flops: std::sync::OnceLock<usize>,
+    /// Memoized [`content_key`](Self::content_key) per
+    /// `(mode, backend, vector_width)`.
+    keys: std::sync::Mutex<HashMap<(HaloMode, Backend, usize), u64>>,
 }
 
 impl Operator {
@@ -328,6 +333,7 @@ impl Operator {
             counts,
             execs: std::sync::Mutex::new(HashMap::new()),
             bc_flops: std::sync::OnceLock::new(),
+            keys: std::sync::Mutex::new(HashMap::new()),
         })
     }
 
@@ -435,7 +441,25 @@ impl Operator {
     /// identity plays no part. Same-geometry operators with different
     /// expressions hash apart (different coefficients/opcodes); the same
     /// equations built twice hash together.
+    ///
+    /// Memoized per `(mode, backend, vector_width)`: the hash re-lowers
+    /// the IET and emits its full C source, which costs up to a few ms,
+    /// and the serve layer keys every job. An `Operator` is immutable
+    /// after [`build`](Self::build), so a memoized key cannot go stale.
     pub fn content_key(&self, opts: &ApplyOptions) -> u64 {
+        let memo = (opts.mode, opts.backend, opts.vector_width);
+        if let Some(&key) = self.keys.lock().unwrap().get(&memo) {
+            return key;
+        }
+        // Hashed outside the lock: a racing first request for the same
+        // triple computes the same value, and other triples stay served.
+        let key = self.hash_content(opts);
+        self.keys.lock().unwrap().insert(memo, key);
+        key
+    }
+
+    /// The uncached hash behind [`content_key`](Self::content_key).
+    fn hash_content(&self, opts: &ApplyOptions) -> u64 {
         let lowered = lower_halo_spots(self.iet.clone(), mpi_mode_of(opts.mode));
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // IET structure + expressions + halo call sites for this mode.
@@ -626,6 +650,11 @@ impl Operator {
             &reports,
         )
         .with_roofline(format!("{} (reference)", machine.name), ceiling)
+        .with_engine(
+            exec.backend().to_string(),
+            exec.compiled_clusters().len(),
+            exec.fallback_clusters(),
+        )
         .with_diagnostics(diagnostics);
 
         Applied { results, summary }
@@ -702,7 +731,7 @@ mod tests {
         assert_eq!(o.block, 0);
         assert_eq!(o.trace, TraceLevel::Off);
         assert_eq!(o.vector_width, 0);
-        assert_eq!(o.backend, Backend::Bytecode);
+        assert_eq!(o.backend, mpix_codegen::default_backend());
 
         // Unset env leaves builder values untouched.
         let o = ApplyOptions::default()
@@ -711,5 +740,49 @@ mod tests {
             .env_overrides();
         assert_eq!(o.mode, HaloMode::Full);
         assert_eq!(o.ranks, 4);
+    }
+
+    #[test]
+    fn default_backend_is_jit_exactly_where_the_host_runs_it() {
+        let host_has_jit = mpix_codegen::available_backends().contains(&Backend::Jit);
+        let default = ApplyOptions::default().backend;
+        assert_eq!(default == Backend::Jit, host_has_jit);
+        if !host_has_jit {
+            assert_eq!(default, Backend::Bytecode);
+        }
+    }
+
+    /// `u.dt = alpha * laplace(u)` on a small 2-D grid.
+    fn heat(alpha: f64) -> Operator {
+        let mut ctx = Context::new();
+        let grid = Grid::new(&[10, 12], &[1.0, 1.0]);
+        let u = ctx.add_time_function("u", &grid, 4, 2);
+        let eq = Eq::new(u.dt(), u.laplace() * alpha);
+        let st = eq.solve_for(&u.forward(), &ctx).unwrap();
+        Operator::build(ctx, grid, vec![st]).unwrap()
+    }
+
+    #[test]
+    fn memoized_content_key_matches_a_fresh_build() {
+        let a = heat(1.0);
+        let b = heat(0.5);
+        for mode in [HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full] {
+            for backend in mpix_codegen::available_backends() {
+                for vw in [0, 16] {
+                    let opts = ApplyOptions::default()
+                        .with_mode(mode)
+                        .with_backend(backend)
+                        .with_vector_width(vw);
+                    let what = format!("{mode:?} {backend} vw={vw}");
+                    let first = a.content_key(&opts);
+                    // The second call is served from the memo.
+                    assert_eq!(a.content_key(&opts), first, "{what}");
+                    // A fresh, identical operator hashes from scratch.
+                    assert_eq!(heat(1.0).content_key(&opts), first, "{what}");
+                    assert_eq!(a.hash_content(&opts), first, "{what}");
+                    assert_ne!(b.content_key(&opts), first, "{what}");
+                }
+            }
+        }
     }
 }

@@ -11,9 +11,10 @@
 //! * [`OperatorKey`] — the cache key is a content hash of the lowered
 //!   operator ([`Operator::content_key`]: mode-lowered IET structure and
 //!   expressions, compiled cluster bytecode, backend, interpreter lane
-//!   width). Pointer identity plays no part: two `Operator`s built from
-//!   the same equations share one compiled artifact; same-geometry
-//!   operators with different expressions do not.
+//!   width), memoized per operator. Pointer identity plays no part: two
+//!   `Operator`s built from the same equations share one compiled
+//!   artifact; same-geometry operators with different expressions do
+//!   not.
 //! * [`OperatorCache`] — a concurrent map from key to compiled
 //!   [`OperatorExec`] with **single-flight** compilation: when N jobs
 //!   race on a cold key, exactly one compiles while the other N−1 wait

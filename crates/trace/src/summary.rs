@@ -152,6 +152,14 @@ pub struct PerfSummary {
     pub mode: String,
     pub ranks: usize,
     pub timesteps: i64,
+    /// Backend of the executable that ran (`jit`, `bytecode`, `c`); empty
+    /// when the summary was not produced by a run.
+    pub backend: String,
+    /// Compiled clusters in that executable.
+    pub clusters: usize,
+    /// Of those, clusters that ran on the bytecode fallback instead of
+    /// the backend's own code (see [`engine`](Self::engine)).
+    pub fallback_clusters: usize,
     /// Global points updated per step (sum over ranks / timesteps).
     pub points_per_step: u64,
     /// Wall time of the slowest rank.
@@ -251,6 +259,9 @@ impl PerfSummary {
             mode: mode.into(),
             ranks,
             timesteps,
+            backend: String::new(),
+            clusters: 0,
+            fallback_clusters: 0,
             points_per_step: if timesteps > 0 {
                 total_points / timesteps as u64
             } else {
@@ -277,6 +288,34 @@ impl PerfSummary {
         self
     }
 
+    /// Name the engine that ran: the executable's backend, its cluster
+    /// count, and how many of those clusters fell back to the bytecode
+    /// interpreter.
+    pub fn with_engine(
+        mut self,
+        backend: impl Into<String>,
+        clusters: usize,
+        fallback_clusters: usize,
+    ) -> PerfSummary {
+        self.backend = backend.into();
+        self.clusters = clusters;
+        self.fallback_clusters = fallback_clusters;
+        self
+    }
+
+    /// The engine in one phrase: `jit`, or
+    /// `jit (1/3 clusters on bytecode fallback)` when some fell back.
+    pub fn engine(&self) -> String {
+        if self.fallback_clusters == 0 {
+            self.backend.clone()
+        } else {
+            format!(
+                "{} ({}/{} clusters on bytecode fallback)",
+                self.backend, self.fallback_clusters, self.clusters
+            )
+        }
+    }
+
     /// Attach verification findings (the `mpix-analysis` pass output).
     pub fn with_diagnostics(mut self, diagnostics: Vec<Diagnostic>) -> PerfSummary {
         self.diagnostics = diagnostics;
@@ -289,6 +328,9 @@ impl PerfSummary {
             "mode": &self.mode,
             "ranks": self.ranks,
             "timesteps": self.timesteps,
+            "backend": &self.backend,
+            "clusters": self.clusters,
+            "fallback_clusters": self.fallback_clusters,
             "points_per_step": self.points_per_step,
             "total_secs": self.total_secs,
             "gpts": self.gpts,
@@ -325,6 +367,16 @@ impl PerfSummary {
                 .and_then(Value::as_u64)
                 .ok_or("ranks missing")? as usize,
             timesteps: v.get("timesteps").and_then(Value::as_i64).unwrap_or(0),
+            backend: v
+                .get("backend")
+                .and_then(Value::as_str)
+                .unwrap_or_default()
+                .to_string(),
+            clusters: v.get("clusters").and_then(Value::as_u64).unwrap_or(0) as usize,
+            fallback_clusters: v
+                .get("fallback_clusters")
+                .and_then(Value::as_u64)
+                .unwrap_or(0) as usize,
             points_per_step: v
                 .get("points_per_step")
                 .and_then(Value::as_u64)
@@ -365,8 +417,12 @@ impl PerfSummary {
     /// The human-readable table.
     pub fn table(&self) -> String {
         let mut out = String::new();
+        let engine = match self.engine() {
+            e if e.is_empty() => String::new(),
+            e => format!(" · engine={e}"),
+        };
         out.push_str(&format!(
-            "PerfSummary — {} · mode={} · ranks={} · nt={}\n",
+            "PerfSummary — {} · mode={} · ranks={} · nt={}{engine}\n",
             self.kernel, self.mode, self.ranks, self.timesteps
         ));
         let roof = match (self.roofline_gflops, &self.roofline_machine) {
@@ -502,6 +558,7 @@ mod tests {
             &[r0, r1],
         )
         .with_roofline("archer2-node", 150.0)
+        .with_engine("jit", 3, 1)
     }
 
     #[test]
@@ -526,6 +583,40 @@ mod tests {
         let text = s.to_json().pretty();
         let back = PerfSummary::from_json(&mpix_json::Value::parse(&text).unwrap()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn engine_round_trips_through_json_and_table() {
+        let s = sample_summary();
+        assert_eq!(s.engine(), "jit (1/3 clusters on bytecode fallback)");
+        let back = PerfSummary::from_json(&s.to_json()).unwrap();
+        assert_eq!(
+            (back.backend.as_str(), back.clusters, back.fallback_clusters),
+            ("jit", 3, 1)
+        );
+        assert_eq!(back.engine(), s.engine());
+        assert!(
+            s.table()
+                .contains("engine=jit (1/3 clusters on bytecode fallback)"),
+            "{}",
+            s.table()
+        );
+        let native = s.clone().with_engine("jit", 3, 0);
+        assert_eq!(native.engine(), "jit");
+        let back = PerfSummary::from_json(&native.to_json()).unwrap();
+        assert_eq!(back, native);
+        assert!(
+            native.table().contains("engine=jit\n"),
+            "{}",
+            native.table()
+        );
+        // Summaries that predate the engine fields still parse.
+        let mut old = native.to_json();
+        if let Value::Obj(m) = &mut old {
+            m.retain(|(k, _)| !["backend", "clusters", "fallback_clusters"].contains(&k.as_str()));
+        }
+        let back = PerfSummary::from_json(&old).unwrap();
+        assert_eq!((back.engine(), back.clusters), (String::new(), 0));
     }
 
     #[test]

@@ -47,9 +47,11 @@ fn main() {
     }
 
     println!("\n## Joint tile x lane-width sweep (blocking + simd-strip engine)");
+    // The lane width is an interpreter knob: the default JIT ignores it.
+    let interp = base.clone().with_backend(Backend::Bytecode);
     let report = prop
         .op
-        .autotune_exec(&base, 2, &[0, 8, 16], &[0, 8, 16, 32], move |ws| {
+        .autotune_exec(&interp, 2, &[0, 8, 16], &[0, 8, 16, 32], move |ws| {
             pref.init(ws)
         });
     for ((block, vw), secs) in &report.trials {
@@ -85,7 +87,7 @@ fn main() {
     println!("  MPIX_MPI=diag2 MPIX_BLOCK=16 MPIX_THREADS=4 MPIX_VW=16 <binary>");
     let env_opts = ApplyOptions::from_env();
     println!(
-        "  current env resolves to mode={:?}, block={}, threads={}, vector_width={}",
-        env_opts.mode, env_opts.block, env_opts.threads, env_opts.vector_width
+        "  current env resolves to mode={:?}, block={}, threads={}, vector_width={}, backend={}",
+        env_opts.mode, env_opts.block, env_opts.threads, env_opts.vector_width, env_opts.backend
     );
 }

@@ -41,7 +41,7 @@ pub use mpix_core::prelude;
 // The everyday vocabulary, importable straight off the facade:
 // `use mpix::{Operator, ApplyOptions, TraceLevel, ...}`.
 pub use mpix_core::{
-    available_backends, Applied, ApplyOptions, Backend, Operator, PerfSummary, TraceLevel,
-    Workspace,
+    available_backends, default_backend, Applied, ApplyOptions, Backend, Operator, PerfSummary,
+    TraceLevel, Workspace,
 };
 pub use mpix_dmp::HaloMode;

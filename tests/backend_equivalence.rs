@@ -174,6 +174,59 @@ fn all_kernels_all_orders_bitwise_equal() {
     }
 }
 
+/// Default options run every shipped solver × SDO 4/8/12/16 on the
+/// host's default engine, and the summary names it. On a JIT-capable
+/// host every cluster runs as native code: none falls back to the
+/// interpreter.
+#[test]
+fn default_options_run_every_solver_natively() {
+    for kind in KernelKind::all() {
+        for sdo in [4u32, 8, 12, 16] {
+            let spec = ModelSpec::new(&[8, 8, 8]).with_nbl(2);
+            let prop = Propagator::build(kind, spec, sdo);
+            let pref = &prop;
+            let s = prop
+                .op
+                .run(&prop.apply_options(1), |ws| pref.init(ws), |_| ())
+                .summary;
+            let what = format!("{kind:?} sdo={sdo}: {}", s.engine());
+            assert_eq!(s.backend, mpix::default_backend().to_string(), "{what}");
+            assert!(s.clusters > 0, "{what}");
+            if have_jit() {
+                assert_eq!(s.fallback_clusters, 0, "{what}");
+                assert_eq!(s.engine(), "jit", "{what}");
+            }
+        }
+    }
+}
+
+/// A cluster the JIT cannot lower natively (an elementary-function
+/// call) runs on the interpreter, and the summary says so.
+#[test]
+fn jit_fallback_clusters_are_named_in_the_summary() {
+    if !have_jit() {
+        return;
+    }
+    let mut ctx = Context::new();
+    let grid = Grid::new(&[10, 9], &[1.0, 1.0]);
+    let u = ctx.add_time_function("u", &grid, 2, 1);
+    let eq = Eq::new(u.forward(), 0.5 * u.at(0, &[1, 0]).sin());
+    let op = Operator::build(ctx, grid, vec![eq]).unwrap();
+    let opts = ApplyOptions::default()
+        .with_backend(Backend::Jit)
+        .with_nt(2)
+        .with_dt(1.0);
+    let s = op.run(&opts, |_| (), |_| ()).summary;
+    assert_eq!((s.clusters, s.fallback_clusters), (1, 1));
+    assert_eq!(s.engine(), "jit (1/1 clusters on bytecode fallback)");
+    assert!(s.table().contains("engine=jit (1/1"), "{}", s.table());
+    // The interpreter itself never reports a fallback.
+    let s = op
+        .run(&opts.with_backend(Backend::Bytecode), |_| (), |_| ())
+        .summary;
+    assert_eq!((s.engine().as_str(), s.fallback_clusters), ("bytecode", 0));
+}
+
 /// The C backend is an emission peer that executes through the
 /// interpreter — selecting it must be a behavioral no-op.
 #[test]

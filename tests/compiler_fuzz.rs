@@ -251,7 +251,10 @@ fn check_backends_bitwise(spec: &StencilSpec, nt: usize) -> Result<(), TestCaseE
         .results
         .remove(0)
     };
-    let base = ApplyOptions::default().with_nt(nt as i64).with_dt(1.0);
+    let base = ApplyOptions::default()
+        .with_backend(Backend::Bytecode)
+        .with_nt(nt as i64)
+        .with_dt(1.0);
     let oracle = run(&base);
     let mut engines = vec![(Backend::Bytecode, 0), (Backend::Bytecode, 16)];
     if mpix::available_backends().contains(&Backend::Jit) {

@@ -23,10 +23,12 @@ fn laplace_op(shape: &[usize], so: u32) -> Operator {
     Operator::build(ctx, grid, vec![st]).unwrap()
 }
 
-/// Run `nt` steps with the given execution knobs and gather the full
-/// global field, bit-exact.
+/// Run `nt` steps on the bytecode interpreter with the given execution
+/// knobs and gather the full global field, bit-exact. The backend is
+/// pinned: the default JIT ignores the lane width.
 fn run_config(op: &Operator, shape: &[usize], vw: usize, block: usize, threads: usize) -> Vec<f32> {
     let opts = ApplyOptions::default()
+        .with_backend(Backend::Bytecode)
         .with_dt(0.001)
         .with_nt(3)
         .with_vector_width(vw)
