@@ -196,7 +196,7 @@ fn run_backend(
         vw,
     };
     let mut slices: Vec<&mut [f32]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-    kernel.exec_box(&launch, &geo.bx, &mut slices);
+    kernel.bind(&launch).exec_box(&geo.bx, &mut slices);
     Ok(bufs)
 }
 

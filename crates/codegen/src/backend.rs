@@ -152,9 +152,10 @@ pub struct Launch<'a> {
 /// `mpix-analysis`' backend equivalence pass and
 /// `tests/backend_equivalence.rs`).
 pub trait ClusterKernel: Send + Sync {
-    /// Execute over `bx` with whole-buffer bindings (single-threaded
-    /// path; `buffers[s]` is stream `s`'s full padded buffer).
-    fn exec_box(&self, launch: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]);
+    /// Bind this kernel to one launch. Whatever every box of the launch
+    /// shares (for the JIT: the native module and the constant bank) is
+    /// resolved here once, not per box.
+    fn bind<'a>(&'a self, launch: &'a Launch<'a>) -> Box<dyn BoundKernel + 'a>;
 
     /// How many natively-compiled per-geometry modules this kernel holds
     /// in its cache. `0` for interpreter kernels, which compile nothing
@@ -171,13 +172,20 @@ pub trait ClusterKernel: Send + Sync {
     fn fell_back(&self) -> bool {
         false
     }
+}
+
+/// A [`ClusterKernel`] bound to one [`Launch`]: runs the launch's boxes.
+/// Shared by the slab workers of the threaded path, hence `Sync`.
+pub trait BoundKernel: Sync {
+    /// Execute over `bx` with whole-buffer bindings (single-threaded
+    /// path; `buffers[s]` is stream `s`'s full padded buffer).
+    fn exec_box(&self, bx: &BoxNd, buffers: &mut [&mut [f32]]);
 
     /// Execute over `bx` with split bindings (threaded path): shared
     /// read slices and per-worker write slabs carrying their linear
     /// start offset, as produced by the executor's slab partitioner.
     fn exec_box_mixed(
         &self,
-        launch: &Launch<'_>,
         bx: &BoxNd,
         reads: &mut [Option<&[f32]>],
         writes: &mut [Option<(&mut [f32], usize)>],
@@ -251,7 +259,18 @@ impl Lowering for BytecodeLowering {
 }
 
 impl ClusterKernel for BytecodeKernel {
-    fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+    fn bind<'a>(&'a self, launch: &'a Launch<'a>) -> Box<dyn BoundKernel + 'a> {
+        Box::new(BytecodeLaunch(launch))
+    }
+}
+
+/// The interpreter bound to a launch: nothing to resolve ahead of the
+/// boxes, so it just carries the launch.
+pub(crate) struct BytecodeLaunch<'a>(pub(crate) &'a Launch<'a>);
+
+impl BoundKernel for BytecodeLaunch<'_> {
+    fn exec_box(&self, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+        let l = self.0;
         executor::exec_box(
             l.cc, bx, buffers, l.strides, l.halos, l.resolved, l.scalars, l.params, l.block, l.vw,
         );
@@ -259,11 +278,11 @@ impl ClusterKernel for BytecodeKernel {
 
     fn exec_box_mixed(
         &self,
-        l: &Launch<'_>,
         bx: &BoxNd,
         reads: &mut [Option<&[f32]>],
         writes: &mut [Option<(&mut [f32], usize)>],
     ) {
+        let l = self.0;
         executor::exec_box_mixed(
             l.cc, bx, reads, writes, l.strides, l.halos, l.resolved, l.scalars, l.params, l.block,
             l.vw,

@@ -20,7 +20,7 @@ use mpix_san::San;
 use mpix_symbolic::{Context, FieldId};
 use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
-use crate::backend::{create_lowering, Backend, BackendError, ClusterKernel, Launch};
+use crate::backend::{create_lowering, Backend, BackendError, BoundKernel, ClusterKernel, Launch};
 use crate::bytecode::{compile_cluster, fuse_cluster, powi, CompiledCluster, Op};
 use crate::fpenv::FpEnvGuard;
 
@@ -695,6 +695,7 @@ impl OperatorExec {
             block: st.opts.block,
             vw,
         };
+        let bound = kernel.bind(&launch);
         let mut points = 0u64;
         for b in &boxes {
             if b.iter().any(|r| r.is_empty()) {
@@ -704,10 +705,10 @@ impl OperatorExec {
             if nthreads <= 1 || b[0].len() < 2 * nthreads {
                 let mut slices: Vec<&mut [f32]> =
                     moved.iter_mut().map(|v| v.as_mut_slice()).collect();
-                kernel.exec_box(&launch, b, &mut slices);
+                bound.exec_box(b, &mut slices);
             } else {
                 exec_box_threaded(
-                    kernel,
+                    &*bound,
                     &launch,
                     b,
                     &mut moved,
@@ -767,7 +768,7 @@ pub fn eval_invariant(e: &IExpr, scalars: &HashMap<String, f32>, params: &[f32])
 /// Execute the compiled body over every point of `bx` (owned-local
 /// coordinates). Applies loop blocking on the outermost two dimensions
 /// when `block > 0`. This is the bytecode backend's whole-buffer entry
-/// point (`backend::BytecodeKernel` delegates here).
+/// point (`backend::BytecodeLaunch` delegates here).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_box(
     cc: &CompiledCluster,
@@ -890,7 +891,7 @@ fn exec_box_flat(
 /// worker's padded row range.
 #[allow(clippy::too_many_arguments)]
 fn exec_box_threaded(
-    kernel: &dyn ClusterKernel,
+    kernel: &dyn BoundKernel,
     l: &Launch<'_>,
     bx: &BoxNd,
     moved: &mut [Vec<f32>],
@@ -1014,7 +1015,7 @@ fn exec_box_threaded(
                 sub[0] = wk.range0.clone();
                 let mut reads = wk.reads;
                 let mut writes = wk.writes;
-                kernel.exec_box_mixed(l, &sub, &mut reads, &mut writes);
+                kernel.exec_box_mixed(&sub, &mut reads, &mut writes);
             });
         }
     });
@@ -1024,7 +1025,7 @@ fn exec_box_threaded(
 /// Like [`exec_box`] but with per-stream read/write bindings (threaded
 /// path). Written streams index relative to their slab offset. This is
 /// the bytecode backend's split-binding entry point
-/// (`backend::BytecodeKernel` delegates here).
+/// (`backend::BytecodeLaunch` delegates here).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_box_mixed(
     cc: &CompiledCluster,

@@ -46,14 +46,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Ymm};
-use mpix_dmp::regions::BoxNd;
+use mpix_dmp::regions::{BoxNd, MAX_ND};
 use mpix_ir::iet::Node;
 use mpix_symbolic::Context;
 
-use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch, Lowering};
+use crate::backend::{Backend, BoundKernel, BytecodeLaunch, ClusterKernel, Launch, Lowering};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 
 /// Process-wide count of native modules actually encoded and finalized
@@ -189,7 +189,6 @@ impl Lowering for JitLowering {
             ctx: self.ctx,
             plan: JitPlan::analyze(cc),
             modules: Mutex::new(HashMap::new()),
-            fallback: BytecodeKernel,
             fell_back: AtomicBool::new(false),
         })
     }
@@ -203,8 +202,8 @@ pub struct JitKernel {
     ctx: JitContext,
     plan: JitPlan,
     modules: Mutex<HashMap<Vec<isize>, Option<Arc<CompiledModule>>>>,
-    fallback: BytecodeKernel,
-    /// Set the first time a box runs on `fallback` instead of native code.
+    /// Set the first time a box runs on the interpreter instead of native
+    /// code.
     fell_back: AtomicBool,
 }
 
@@ -228,18 +227,34 @@ impl JitKernel {
         built
     }
 
-    /// The interpreter, for a box the native code cannot run.
-    fn on_fallback(&self) -> &BytecodeKernel {
+    /// Record that a box ran on the interpreter instead of native code.
+    fn note_fallback(&self) {
         // Load first: slab workers would otherwise write the shared
         // flag's cache line on every box.
         if !self.fell_back.load(Ordering::Relaxed) {
             self.fell_back.store(true, Ordering::Relaxed);
         }
-        &self.fallback
     }
 }
 
 impl ClusterKernel for JitKernel {
+    fn bind<'a>(&'a self, l: &'a Launch<'a>) -> Box<dyn BoundKernel + 'a> {
+        let cc = l.cc;
+        // Bank: [1.0, consts…, scalars…, params…] — offsets baked into
+        // the generated vbroadcastss instructions.
+        let mut bank = Vec::with_capacity(1 + cc.consts.len() + l.scalars.len() + l.params.len());
+        bank.push(1.0f32);
+        bank.extend_from_slice(&cc.consts);
+        bank.extend_from_slice(l.scalars);
+        bank.extend_from_slice(l.params);
+        Box::new(JitLaunch {
+            kernel: self,
+            l,
+            module: OnceLock::new(),
+            bank,
+        })
+    }
+
     fn cached_modules(&self) -> usize {
         self.modules
             .lock()
@@ -252,28 +267,54 @@ impl ClusterKernel for JitKernel {
     fn fell_back(&self) -> bool {
         self.fell_back.load(Ordering::Relaxed)
     }
+}
 
-    fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
-        match self.module_for(l.cc, l.resolved) {
+/// A JIT kernel bound to one launch: the bank is built once, and the
+/// module is looked up once, on the first box that runs (a launch whose
+/// boxes are all empty builds nothing). Each box call keeps its own
+/// temporaries, so slab workers never share them.
+struct JitLaunch<'a> {
+    kernel: &'a JitKernel,
+    l: &'a Launch<'a>,
+    module: OnceLock<Option<Arc<CompiledModule>>>,
+    bank: Vec<f32>,
+}
+
+impl JitLaunch<'_> {
+    fn module(&self) -> Option<&CompiledModule> {
+        self.module
+            .get_or_init(|| self.kernel.module_for(self.l.cc, self.l.resolved))
+            .as_deref()
+    }
+
+    /// The interpreter, for a box the native code cannot run.
+    fn fallback(&self) -> BytecodeLaunch<'_> {
+        self.kernel.note_fallback();
+        BytecodeLaunch(self.l)
+    }
+}
+
+impl BoundKernel for JitLaunch<'_> {
+    fn exec_box(&self, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+        match self.module() {
             Some(module) => {
                 let origins: Vec<*mut f32> = buffers.iter_mut().map(|b| b.as_mut_ptr()).collect();
-                run_box(&module, l, bx, &origins);
+                run_box(module, self.l, &self.bank, bx, &origins);
             }
-            None => self.on_fallback().exec_box(l, bx, buffers),
+            None => self.fallback().exec_box(bx, buffers),
         }
     }
 
     fn exec_box_mixed(
         &self,
-        l: &Launch<'_>,
         bx: &BoxNd,
         reads: &mut [Option<&[f32]>],
         writes: &mut [Option<(&mut [f32], usize)>],
     ) {
-        if !self.plan.mixed_safe {
-            return self.on_fallback().exec_box_mixed(l, bx, reads, writes);
+        if !self.kernel.plan.mixed_safe {
+            return self.fallback().exec_box_mixed(bx, reads, writes);
         }
-        match self.module_for(l.cc, l.resolved) {
+        match self.module() {
             Some(module) => {
                 // Per-stream origin pointers in full-array linear index
                 // space: a write slab starting at linear offset `off`
@@ -281,16 +322,16 @@ impl ClusterKernel for JitKernel {
                 // dereferences in-slab indices (stores hit the current
                 // point; `mixed_safe` rules out escaping loads), and
                 // read bindings are never written through.
-                let origins: Vec<*mut f32> = (0..l.cc.streams.len())
+                let origins: Vec<*mut f32> = (0..self.l.cc.streams.len())
                     .map(|s| match (&reads[s], &mut writes[s]) {
                         (Some(r), _) => r.as_ptr() as *mut f32,
                         (None, Some((w, off))) => w.as_mut_ptr().wrapping_sub(*off),
                         (None, None) => unreachable!("unbound stream"),
                     })
                     .collect();
-                run_box(&module, l, bx, &origins);
+                run_box(module, self.l, &self.bank, bx, &origins);
             }
-            None => self.on_fallback().exec_box_mixed(l, bx, reads, writes),
+            None => self.fallback().exec_box_mixed(bx, reads, writes),
         }
     }
 }
@@ -301,95 +342,91 @@ impl ClusterKernel for JitKernel {
 
 /// Drive the generated row function over every inner row of `bx`,
 /// reproducing the interpreter's tiling and odometer exactly.
-fn run_box(module: &CompiledModule, l: &Launch<'_>, bx: &BoxNd, origins: &[*mut f32]) {
+fn run_box(
+    module: &CompiledModule,
+    l: &Launch<'_>,
+    bank: &[f32],
+    bx: &BoxNd,
+    origins: &[*mut f32],
+) {
     let nd = bx.len();
+    assert!(nd <= MAX_ND, "box has more than {MAX_ND} dimensions");
     if bx.iter().any(|r| r.is_empty()) {
         return;
     }
-    let cc = l.cc;
-    // Bank: [1.0, consts…, scalars…, params…] — offsets baked into the
-    // generated vbroadcastss instructions.
-    let mut bank = Vec::with_capacity(1 + cc.consts.len() + l.scalars.len() + l.params.len());
-    bank.push(1.0f32);
-    bank.extend_from_slice(&cc.consts);
-    bank.extend_from_slice(l.scalars);
-    bank.extend_from_slice(l.params);
     // 8-lane memory slots for temporaries (the scalar tail uses lane 0).
-    let mut temps = vec![0.0f32; cc.num_temps * 8];
-
-    let tiles: Vec<BoxNd> = if l.block > 0 && nd >= 2 {
-        let mut v = Vec::new();
-        let (r0, r1) = (bx[0].clone(), bx[1].clone());
-        let mut x0 = r0.start;
-        while x0 < r0.end {
-            let x1 = (x0 + l.block).min(r0.end);
-            let mut y0 = r1.start;
-            while y0 < r1.end {
-                let y1 = (y0 + l.block).min(r1.end);
-                let mut t = bx.clone();
-                t[0] = x0..x1;
-                t[1] = y0..y1;
-                v.push(t);
-                y0 = y1;
-            }
-            x0 = x1;
-        }
-        v
-    } else {
-        vec![bx.clone()]
+    let mut temps = vec![0.0f32; l.cc.num_temps * 8];
+    let mut streams = vec![std::ptr::null_mut::<f32>(); l.cc.streams.len()];
+    let mut tile: [std::ops::Range<usize>; MAX_ND] = Default::default();
+    tile[..nd].clone_from_slice(bx);
+    let mut run = |tile: &[std::ops::Range<usize>]| {
+        run_tile(module, l, bank, tile, origins, &mut streams, &mut temps)
     };
-
-    let nstreams = cc.streams.len();
-    let mut streams = vec![std::ptr::null_mut::<f32>(); nstreams];
-    for tile in tiles {
-        if tile.iter().any(|r| r.is_empty()) {
-            continue;
+    if l.block > 0 && nd >= 2 {
+        // Tiles over the two outermost dimensions, dim 0 slowest.
+        for x0 in bx[0].clone().step_by(l.block) {
+            tile[0] = x0..(x0 + l.block).min(bx[0].end);
+            for y0 in bx[1].clone().step_by(l.block) {
+                tile[1] = y0..(y0 + l.block).min(bx[1].end);
+                run(&tile[..nd]);
+            }
         }
-        let inner = tile[nd - 1].clone();
-        let n = inner.len() as u64;
-        let mut outer: Vec<usize> = tile[..nd - 1].iter().map(|r| r.start).collect();
+    } else {
+        run(&tile[..nd]);
+    }
+}
+
+/// Call the row function on every inner row of one (non-empty) tile.
+fn run_tile(
+    module: &CompiledModule,
+    l: &Launch<'_>,
+    bank: &[f32],
+    tile: &[std::ops::Range<usize>],
+    origins: &[*mut f32],
+    streams: &mut [*mut f32],
+    temps: &mut [f32],
+) {
+    let nd = tile.len();
+    let inner = tile[nd - 1].clone();
+    let n = inner.len() as u64;
+    let mut outer = [0usize; MAX_ND];
+    for d in 0..nd - 1 {
+        outer[d] = tile[d].start;
+    }
+    loop {
+        for (s, ptr) in streams.iter_mut().enumerate() {
+            let mut base = 0usize;
+            for d in 0..nd - 1 {
+                base += (outer[d] + l.halos[s]) * l.strides[s][d];
+            }
+            base += (inner.start + l.halos[s]) * l.strides[s][nd - 1];
+            *ptr = origins[s].wrapping_add(base);
+        }
+        let mut args = RowArgs {
+            streams: streams.as_ptr(),
+            n,
+            bank: bank.as_ptr(),
+            temps: temps.as_mut_ptr(),
+        };
+        // SAFETY: the generated function implements the
+        // `extern "C" fn(*mut u8)` row ABI; every address it forms
+        // is `stream[s] + (i + resolved[off]) * 4` for `i < n`,
+        // in-bounds by the same argument as the interpreter's
+        // (verified by mpix-analysis' check_bounds pass, W = 8
+        // covering the strip loads).
+        unsafe { module.call(&mut args as *mut RowArgs as *mut u8) };
+        // Odometer over the outer dimensions.
+        let mut d = nd - 1;
         loop {
-            for s in 0..nstreams {
-                let mut base = 0usize;
-                for d in 0..nd - 1 {
-                    base += (outer[d] + l.halos[s]) * l.strides[s][d];
-                }
-                base += (inner.start + l.halos[s]) * l.strides[s][nd - 1];
-                streams[s] = origins[s].wrapping_add(base);
+            if d == 0 {
+                return;
             }
-            let mut args = RowArgs {
-                streams: streams.as_ptr(),
-                n,
-                bank: bank.as_ptr(),
-                temps: temps.as_mut_ptr(),
-            };
-            // SAFETY: the generated function implements the
-            // `extern "C" fn(*mut u8)` row ABI; every address it forms
-            // is `stream[s] + (i + resolved[off]) * 4` for `i < n`,
-            // in-bounds by the same argument as the interpreter's
-            // (verified by mpix-analysis' check_bounds pass, W = 8
-            // covering the strip loads).
-            unsafe { module.call(&mut args as *mut RowArgs as *mut u8) };
-            if nd == 1 {
+            d -= 1;
+            outer[d] += 1;
+            if outer[d] < tile[d].end {
                 break;
             }
-            let mut d = nd - 1;
-            let mut done = false;
-            loop {
-                if d == 0 {
-                    done = true;
-                    break;
-                }
-                d -= 1;
-                outer[d] += 1;
-                if outer[d] < tile[d].end {
-                    break;
-                }
-                outer[d] = tile[d].start;
-            }
-            if done {
-                break;
-            }
+            outer[d] = tile[d].start;
         }
     }
 }

@@ -23,7 +23,7 @@
 //!   three halo-exchange patterns from `mpix-dmp`.
 //! * [`fpenv`] — the FTZ/DAZ guard every kernel thread runs under.
 //! * [`backend`] — the seam tying them together: the [`Lowering`]
-//!   trait, the [`ClusterKernel`] launch surface, and the
+//!   trait, the [`ClusterKernel`]/[`BoundKernel`] launch surface, and the
 //!   [`create_lowering`] factory that registers the three backends as
 //!   selectable peers.
 
@@ -40,8 +40,8 @@ pub mod fpenv;
 pub mod jit;
 
 pub use backend::{
-    available_backends, create_lowering, default_backend, Backend, BackendError, ClusterKernel,
-    Launch, Lowering, BACKEND_NAMES,
+    available_backends, create_lowering, default_backend, Backend, BackendError, BoundKernel,
+    ClusterKernel, Launch, Lowering, BACKEND_NAMES,
 };
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;

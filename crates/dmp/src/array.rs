@@ -11,7 +11,7 @@ use std::sync::Arc;
 use mpix_comm::Comm;
 
 use crate::decomp::Decomposition;
-use crate::regions::{box_len, for_each_index, region_box, BoxNd, Region};
+use crate::regions::{box_len, for_each_index, region_box, BoxNd, Region, MAX_ND};
 
 /// A rank-local shard of a globally-indexed dense `f32` array.
 #[derive(Clone, Debug)]
@@ -115,44 +115,103 @@ impl DistArray {
         self.data[off] = v;
     }
 
+    /// Linear offset of an owned-local multi-index.
+    #[inline]
+    fn local_lin(&self, idx: &[usize]) -> usize {
+        idx.iter()
+            .zip(&self.strides)
+            .map(|(&i, &s)| (i + self.halo) * s)
+            .sum()
+    }
+
+    /// Linear offset of a global multi-index, or `None` when this rank
+    /// does not own it. Ownership and offset come from one pass over the
+    /// dimensions, with no allocation: sparse injection calls this for
+    /// every interpolation corner of every source on every step.
+    #[inline]
+    fn global_lin(&self, idx: &[usize]) -> Option<usize> {
+        assert_eq!(
+            idx.len(),
+            self.decomp.ndim(),
+            "index dimensionality does not match the array"
+        );
+        let mut off = 0;
+        for (d, (&g, &s)) in idx.iter().zip(&self.strides).enumerate() {
+            let owned = self.decomp.owned_range(d, self.coords[d]);
+            if !owned.contains(&g) {
+                return None;
+            }
+            off += (g - owned.start + self.halo) * s;
+        }
+        Some(off)
+    }
+
     /// Read at owned-local coordinates (no halo offset applied by caller).
     pub fn get_local(&self, idx: &[usize]) -> f32 {
-        let padded: Vec<usize> = idx.iter().map(|&i| i + self.halo).collect();
-        self.get_padded(&padded)
+        self.data[self.local_lin(idx)]
     }
 
     /// Write at owned-local coordinates.
     pub fn set_local(&mut self, idx: &[usize], v: f32) {
-        let padded: Vec<usize> = idx.iter().map(|&i| i + self.halo).collect();
-        self.set_padded(&padded, v);
+        let off = self.local_lin(idx);
+        self.data[off] = v;
     }
 
     /// Does this rank own the given global point?
     pub fn owns_global(&self, idx: &[usize]) -> bool {
-        (0..self.decomp.ndim())
-            .all(|d| self.decomp.owned_range(d, self.coords[d]).contains(&idx[d]))
+        self.global_lin(idx).is_some()
     }
 
     /// Write a single global point; no-op on non-owning ranks.
     pub fn set_global(&mut self, idx: &[usize], v: f32) {
-        if !self.owns_global(idx) {
-            return;
+        if let Some(off) = self.global_lin(idx) {
+            self.data[off] = v;
         }
-        let local: Vec<usize> = (0..idx.len())
-            .map(|d| idx[d] - self.decomp.owned_range(d, self.coords[d]).start)
-            .collect();
-        self.set_local(&local, v);
     }
 
     /// Read a single global point; `None` on non-owning ranks.
     pub fn get_global(&self, idx: &[usize]) -> Option<f32> {
-        if !self.owns_global(idx) {
-            return None;
+        self.global_lin(idx).map(|off| self.data[off])
+    }
+
+    /// Visit every row of the global box `ranges` that this rank owns:
+    /// `f(start, row)` gets the global index of the row's first point
+    /// and the row's owned points along the innermost dimension as one
+    /// contiguous slice, in row-major order. Halo cells are never
+    /// visited. This is the bulk-write primitive every initialiser goes
+    /// through; it performs no heap allocation.
+    pub fn for_each_global_row_mut(
+        &mut self,
+        ranges: &[Range<usize>],
+        mut f: impl FnMut(&[usize], &mut [f32]),
+    ) {
+        let nd = self.decomp.ndim();
+        assert_eq!(
+            ranges.len(),
+            nd,
+            "box dimensionality does not match the array"
+        );
+        assert!(nd <= MAX_ND, "box has more than {MAX_ND} dimensions");
+        // The intersection in padded coordinates, and the shift that
+        // maps a padded index back to a global one.
+        let mut padded: [Range<usize>; MAX_ND] = Default::default();
+        let mut shift = [0usize; MAX_ND];
+        for d in 0..nd {
+            let c = self.coords[d];
+            let Some(local) = self.decomp.intersect_local(d, c, &ranges[d]) else {
+                return;
+            };
+            shift[d] = self.decomp.owned_range(d, c).start;
+            padded[d] = local.start + self.halo..local.end + self.halo;
         }
-        let local: Vec<usize> = (0..idx.len())
-            .map(|d| idx[d] - self.decomp.owned_range(d, self.coords[d]).start)
-            .collect();
-        Some(self.get_local(&local))
+        let mut global = [0usize; MAX_ND];
+        let (strides, data, halo) = (&self.strides, &mut self.data, self.halo);
+        for_each_row(&padded[..nd], strides, |idx, start, len| {
+            for d in 0..nd {
+                global[d] = idx[d] - halo + shift[d];
+            }
+            f(&global[..nd], &mut data[start..start + len]);
+        });
     }
 
     /// Fill a global slice with a constant — the distributed equivalent
@@ -160,19 +219,7 @@ impl DistArray {
     /// converts the global slice to its local intersection and writes
     /// only its share (Listing 2). Requires no communication.
     pub fn fill_global_slice(&mut self, ranges: &[Range<usize>], value: f32) {
-        if let Some(local_box) = self.local_intersection(ranges) {
-            let halo = self.halo;
-            let padded: BoxNd = local_box
-                .iter()
-                .map(|r| r.start + halo..r.end + halo)
-                .collect();
-            // Collect offsets first: for_each_index borrows self immutably.
-            let mut offsets = Vec::with_capacity(box_len(&padded));
-            for_each_index(&padded, |idx| offsets.push(self.lin(idx)));
-            for off in offsets {
-                self.data[off] = value;
-            }
-        }
+        self.for_each_global_row_mut(ranges, |_, row| row.fill(value));
     }
 
     /// Local intersection of a global box with this rank's ownership, in
@@ -347,7 +394,7 @@ impl DistArray {
     pub fn pack_box(&self, b: &BoxNd, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(box_len(b));
-        for_each_row(b, &self.strides, |start, len| {
+        for_each_row(b, &self.strides, |_, start, len| {
             out.extend_from_slice(&self.data[start..start + len]);
         });
     }
@@ -358,7 +405,7 @@ impl DistArray {
         assert_eq!(data.len(), box_len(b), "message size mismatch");
         let dst = &mut self.data;
         let mut cursor = 0;
-        for_each_row(b, &self.strides, |start, len| {
+        for_each_row(b, &self.strides, |_, start, len| {
             dst[start..start + len].copy_from_slice(&data[cursor..cursor + len]);
             cursor += len;
         });
@@ -370,15 +417,13 @@ impl DistArray {
     }
 }
 
-/// Most dimensions a box can have. Generous: the paper's grids are ≤ 3-D.
-const MAX_ND: usize = 8;
-
 /// Visit each contiguous innermost row of box `b` as
-/// `(linear_start, row_len)` in `for_each_index` order. Relies on the
-/// row-major layout invariant that the innermost stride is 1. Runs on
-/// every pack/unpack of the halo hot path, so the odometer index lives
-/// on the stack — this function performs no heap allocation.
-fn for_each_row(b: &BoxNd, strides: &[usize], mut f: impl FnMut(usize, usize)) {
+/// `(first_index, linear_start, row_len)` in `for_each_index` order,
+/// where `first_index` is the multi-index of the row's first point.
+/// Relies on the row-major layout invariant that the innermost stride
+/// is 1. Runs on every pack/unpack of the halo hot path, so the odometer
+/// index lives on the stack — this function performs no heap allocation.
+fn for_each_row(b: &[Range<usize>], strides: &[usize], mut f: impl FnMut(&[usize], usize, usize)) {
     let nd = b.len();
     assert!(nd <= MAX_ND, "box has more than {MAX_ND} dimensions");
     if b.iter().any(|r| r.is_empty()) {
@@ -388,7 +433,7 @@ fn for_each_row(b: &BoxNd, strides: &[usize], mut f: impl FnMut(usize, usize)) {
     let row_len = b[nd - 1].len();
     let outer = nd - 1;
     let mut idx = [0usize; MAX_ND];
-    for d in 0..outer {
+    for d in 0..nd {
         idx[d] = b[d].start;
     }
     loop {
@@ -396,7 +441,7 @@ fn for_each_row(b: &BoxNd, strides: &[usize], mut f: impl FnMut(usize, usize)) {
         for d in 0..outer {
             lin += idx[d] * strides[d];
         }
-        f(lin, row_len);
+        f(&idx[..nd], lin, row_len);
         // Odometer over the outer dimensions.
         let mut d = outer;
         loop {
@@ -502,11 +547,90 @@ mod tests {
         }
     }
 
+    /// Every rank's coordinates in a `dims` process grid.
+    fn all_coords(dims: &[usize]) -> Vec<Vec<usize>> {
+        let p: usize = dims.iter().product();
+        (0..p)
+            .map(|r| mpix_comm::CartComm::coords_of(dims, r))
+            .collect()
+    }
+
+    /// (global shape, process grid, global slice).
+    type SliceCase = (&'static [usize], &'static [usize], &'static [Range<usize>]);
+
     #[test]
-    fn fill_global_slice_outside_ownership_is_noop() {
-        let mut a = DistArray::new(decomp_2x2_4x4(), &[0, 0], 2);
-        a.fill_global_slice(&[3..4, 3..4], 1.0); // owned by rank (1,1)
-        assert!(a.raw().iter().all(|&v| v == 0.0));
+    #[allow(clippy::single_range_in_vec_init)] // 1-D boxes hold one range
+    fn fill_global_slice_writes_exactly_the_owned_share() {
+        // 1-3 dimensions, odd extents, 1-4 ranks with uneven splits along every axis
+        // (innermost included), slices crossing rank boundaries, and a
+        // slice owned by another rank entirely.
+        let cases: [SliceCase; 10] = [
+            (&[4, 4], &[2, 2], &[3..4, 3..4]),
+            (&[4, 4], &[2, 2], &[1..3, 1..3]),
+            (&[9], &[1], &[2..7]),
+            (&[9], &[2], &[0..9]),
+            (&[11], &[3], &[3..8]),
+            (&[7, 5], &[3, 1], &[1..6, 0..5]),
+            (&[7, 5], &[1, 3], &[2..7, 1..4]),
+            (&[5, 7], &[2, 2], &[0..3, 2..7]),
+            (&[5, 3, 7], &[1, 1, 4], &[1..4, 0..2, 1..6]),
+            (&[7, 5, 3], &[3, 1, 1], &[2..7, 1..5, 0..3]),
+        ];
+        let halo = 2;
+        for (shape, dims, slice) in cases {
+            let dc = Arc::new(Decomposition::new(shape, dims));
+            let mut written = 0usize;
+            for coords in all_coords(dims) {
+                let mut a = DistArray::new(Arc::clone(&dc), &coords, halo);
+                a.raw_mut().fill(-1.0);
+                a.fill_global_slice(slice, 7.0);
+                let owned: Vec<Range<usize>> = (0..shape.len())
+                    .map(|d| dc.owned_range(d, coords[d]))
+                    .collect();
+                let all: BoxNd = a.padded_shape().iter().map(|&n| 0..n).collect();
+                for_each_index(&all, |p| {
+                    let global: Option<Vec<usize>> = (0..p.len())
+                        .map(|d| p[d].checked_sub(halo).map(|l| l + owned[d].start))
+                        .collect();
+                    let inside = global.is_some_and(|g| {
+                        (0..g.len()).all(|d| owned[d].contains(&g[d]) && slice[d].contains(&g[d]))
+                    });
+                    let want = if inside { 7.0 } else { -1.0 };
+                    written += usize::from(inside);
+                    assert_eq!(
+                        a.get_padded(p),
+                        want,
+                        "{shape:?}/{dims:?} {coords:?} at {p:?}"
+                    );
+                });
+            }
+            let total: usize = slice.iter().map(|r| r.len()).product();
+            assert_eq!(written, total, "{shape:?}/{dims:?}: slice covered once");
+        }
+    }
+
+    #[test]
+    fn global_rows_carry_their_first_global_index() {
+        // Writing each point's own linear global index through the row
+        // primitive must land every value at that point, on every rank.
+        let (shape, dims) = ([5usize, 7, 6], [2usize, 1, 2]);
+        let dc = Arc::new(Decomposition::new(&shape, &dims));
+        let lin = |g: &[usize]| ((g[0] * shape[1] + g[1]) * shape[2] + g[2]) as f32;
+        for coords in all_coords(&dims) {
+            let mut a = DistArray::new(Arc::clone(&dc), &coords, 1);
+            a.for_each_global_row_mut(&[1..5, 0..7, 2..6], |start, row| {
+                let mut g = start.to_vec();
+                for (k, v) in row.iter_mut().enumerate() {
+                    g[2] = start[2] + k;
+                    *v = lin(&g);
+                }
+            });
+            for_each_index(&vec![1..5, 0..7, 2..6], |g| {
+                if let Some(v) = a.get_global(g) {
+                    assert_eq!(v, lin(g), "{coords:?} at {g:?}");
+                }
+            });
+        }
     }
 }
 

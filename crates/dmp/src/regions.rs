@@ -10,6 +10,10 @@ use std::ops::Range;
 /// dimension, in padded local coordinates.
 pub type BoxNd = Vec<Range<usize>>;
 
+/// Most dimensions a box can have, so row drivers can keep their
+/// odometer index on the stack. Generous: the paper's grids are ≤ 3-D.
+pub const MAX_ND: usize = 8;
+
 /// The region aliases the compiler reasons with (Fig. 4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Region {
@@ -54,7 +58,10 @@ pub fn region_box(region: Region, local: &[usize], halo: usize, radius: usize) -
 }
 
 /// Decompose DOMAIN minus CORE into disjoint boxes (the REMAINDER areas
-/// of Fig. 5 — faces and edge strips along decomposed dimensions).
+/// of Fig. 5). CORE is shrunk by `radius` on both sides of *every*
+/// dimension, decomposed or not and whether or not a side has a
+/// neighbour to exchange with, so REMAINDER is the full `radius`-deep
+/// shell of the domain: up to two strips per dimension.
 ///
 /// The decomposition peels one dimension at a time: for dimension `d` the
 /// low/high strips span the *core* range in dimensions `< d` and the full

@@ -145,8 +145,7 @@ impl SparsePoints {
     pub fn inject(&self, p: usize, value: f64, arr: &mut DistArray) {
         let weights = self.corner_weights(p, arr.decomp().global_shape());
         for (node, w) in weights {
-            if arr.owns_global(&node) {
-                let cur = arr.get_global(&node).unwrap();
+            if let Some(cur) = arr.get_global(&node) {
                 arr.set_global(&node, cur + (value * w) as f32);
             }
         }

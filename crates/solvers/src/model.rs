@@ -74,27 +74,34 @@ impl ModelSpec {
     }
 
     /// Damping value at padded global index `idx` (quadratic ramp inside
-    /// the boundary layer, zero in the interior).
+    /// the boundary layer, zero in the interior): the largest of the
+    /// per-axis terms [`ModelSpec::damping_term`], folded in axis order
+    /// from 0.
     pub fn damping_at(&self, idx: &[usize]) -> f64 {
-        let mut d: f64 = 0.0;
-        for (dim, &i) in idx.iter().enumerate() {
-            let n = self.shape[dim] + 2 * self.nbl;
-            let lo = self.nbl as f64;
-            let hi = (n - 1 - self.nbl) as f64;
-            let x = i as f64;
-            let dist = if x < lo {
-                lo - x
-            } else if x > hi {
-                x - hi
-            } else {
-                0.0
-            };
-            if self.nbl > 0 {
-                let r = dist / self.nbl as f64;
-                d = d.max(self.damp_coeff() * r * r);
-            }
+        idx.iter()
+            .enumerate()
+            .fold(0.0, |d, (dim, &i)| d.max(self.damping_term(dim, i)))
+    }
+
+    /// The damping ramp along one axis at padded index `i`: zero in the
+    /// interior and everywhere when there is no boundary layer.
+    fn damping_term(&self, dim: usize, i: usize) -> f64 {
+        if self.nbl == 0 {
+            return 0.0;
         }
-        d
+        let n = self.shape[dim] + 2 * self.nbl;
+        let lo = self.nbl as f64;
+        let hi = (n - 1 - self.nbl) as f64;
+        let x = i as f64;
+        let dist = if x < lo {
+            lo - x
+        } else if x > hi {
+            x - hi
+        } else {
+            0.0
+        };
+        let r = dist / self.nbl as f64;
+        self.damp_coeff() * r * r
     }
 
     /// Peak damping coefficient: tuned so the layer absorbs without
@@ -114,32 +121,26 @@ impl ModelSpec {
             .fill_global_slice(&ranges, value as f32);
     }
 
-    /// Fill the damping field from the ABC profile.
+    /// Fill the damping field from the ABC profile. The profile is
+    /// separable — [`ModelSpec::damping_at`] is a max over per-axis terms
+    /// — so each axis's term is computed once, and each owned row takes
+    /// the max of its outer axes' terms with the innermost axis's, in
+    /// `damping_at`'s axis order: the values are bit-identical to it.
     pub fn fill_damping(&self, ws: &mut Workspace, name: &str) {
         let shape = self.padded_shape();
-        // Iterate only this rank's owned region via global indices.
-        let arr = ws.field_data_mut(name, 0);
         let nd = shape.len();
-        let decomp = arr.decomp().clone();
-        let coords = arr.coords().to_vec();
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..nd).map(|d| decomp.owned_range(d, coords[d])).collect();
-        let mut idx: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        loop {
-            arr.set_global(&idx, self.damping_at(&idx) as f32);
-            let mut d = nd;
-            loop {
-                if d == 0 {
-                    return;
+        let profiles: Vec<Vec<f64>> = (0..nd)
+            .map(|d| (0..shape[d]).map(|i| self.damping_term(d, i)).collect())
+            .collect();
+        let ranges: Vec<std::ops::Range<usize>> = shape.iter().map(|&s| 0..s).collect();
+        ws.field_data_mut(name, 0)
+            .for_each_global_row_mut(&ranges, |start, row| {
+                let outer = (0..nd - 1).fold(0.0, |d: f64, a| d.max(profiles[a][start[a]]));
+                let inner = &profiles[nd - 1][start[nd - 1]..];
+                for (v, &t) in row.iter_mut().zip(inner) {
+                    *v = outer.max(t) as f32;
                 }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < ranges[d].end {
-                    break;
-                }
-                idx[d] = ranges[d].start;
-            }
-        }
+            });
     }
 
     /// Physical coordinates of the padded-domain centre (source
@@ -155,6 +156,70 @@ impl ModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpix_comm::{CartComm, Universe};
+    use mpix_symbolic::Context;
+
+    /// Every process grid of `p` ranks over `nd` axes.
+    fn topologies(p: usize, nd: usize) -> Vec<Vec<usize>> {
+        if nd == 1 {
+            return vec![vec![p]];
+        }
+        (1..=p)
+            .filter(|k| p % k == 0)
+            .flat_map(|k| {
+                topologies(p / k, nd - 1).into_iter().map(move |mut rest| {
+                    rest.insert(0, k);
+                    rest
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fill_damping_is_bit_identical_to_damping_at_on_every_rank() {
+        for shape in [vec![9], vec![7, 5], vec![5, 3, 7]] {
+            for nbl in [0, 1, 4] {
+                let spec = ModelSpec::new(&shape).with_nbl(nbl);
+                let padded = spec.padded_shape();
+                for p in 1..=4 {
+                    for dims in topologies(p, shape.len()) {
+                        if dims.iter().zip(&padded).any(|(&r, &n)| r > n) {
+                            continue;
+                        }
+                        let per_rank = Universe::run(p, |comm| {
+                            let grid = spec.grid();
+                            let mut ctx = Context::new();
+                            ctx.add_function("damp", &grid, 4);
+                            let mut ws = Workspace::new(&ctx, &grid, CartComm::new(comm, &dims));
+                            ws.field_data_mut("damp", 0).raw_mut().fill(-1.0);
+                            spec.fill_damping(&mut ws, "damp");
+                            let arr = ws.field_data("damp", 0);
+                            let all: Vec<std::ops::Range<usize>> =
+                                padded.iter().map(|&n| 0..n).collect();
+                            let mut owned = 0usize;
+                            mpix_dmp::regions::for_each_index(&all, |g| {
+                                if let Some(v) = arr.get_global(g) {
+                                    let want = spec.damping_at(g) as f32;
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        want.to_bits(),
+                                        "{shape:?} nbl {nbl} {dims:?} at {g:?}: {v} vs {want}"
+                                    );
+                                    owned += 1;
+                                }
+                            });
+                            // Every halo cell still holds the sentinel.
+                            let kept = arr.raw().iter().filter(|&&v| v == -1.0).count();
+                            assert_eq!(kept, arr.raw().len() - owned, "halo cells written");
+                            owned
+                        });
+                        let total: usize = padded.iter().product();
+                        assert_eq!(per_rank.iter().sum::<usize>(), total, "{dims:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn padded_shape_adds_layers_both_sides() {

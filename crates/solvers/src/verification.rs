@@ -58,19 +58,18 @@ pub fn standing_wave_error(n: usize, nd: usize, so: u32, nt: usize, ranks: usize
             let full: Vec<std::ops::Range<usize>> = shape.iter().map(|&s| 0..s).collect();
             ws.field_data_mut("m", 0)
                 .fill_global_slice(&full, m_val as f32);
-            let total: usize = shape.iter().product();
-            let mut idx = vec![0usize; shape.len()];
-            for lin in 0..total {
-                let mut rem = lin;
-                for d in (0..shape.len()).rev() {
-                    idx[d] = rem % shape[d];
-                    rem /= shape[d];
-                }
-                let a = mode_at(&idx, h);
-                // u(0) and u(-dt): exact time history of the mode.
-                ws.field_data_mut("u", 0).set_global(&idx, a as f32);
-                ws.field_data_mut("u", -1)
-                    .set_global(&idx, (a * (omega * dt).cos()) as f32);
+            // u(0) and u(-dt): exact time history of the mode.
+            for (time, phase) in [(0, 1.0), (-1, (omega * dt).cos())] {
+                let mut idx = vec![0usize; shape.len()];
+                let last = shape.len() - 1;
+                ws.field_data_mut("u", time)
+                    .for_each_global_row_mut(&full, |start, row| {
+                        idx.copy_from_slice(start);
+                        for (k, v) in row.iter_mut().enumerate() {
+                            idx[last] = start[last] + k;
+                            *v = (mode_at(&idx, h) * phase) as f32;
+                        }
+                    });
             }
         }
     };
